@@ -25,10 +25,11 @@ cascades evaluate unchanged.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.boolean.partition import cell_index_maps
 from repro.errors import PartitionError
 
 __all__ = ["OverlappingPartition"]
@@ -87,37 +88,11 @@ class OverlappingPartition:
         self._free = free_t
         self._bound = bound_t
         self._n_inputs = n_inputs
-        self._build_maps()
-
-    def _build_maps(self) -> None:
-        n = self._n_inputs
-        size = 1 << n
-        indices = np.arange(size, dtype=np.int64)
-        shifts = np.array([n - 1 - v for v in range(n)], dtype=np.int64)
-        bits = (indices[:, np.newaxis] >> shifts) & 1
-
-        free_weights = 1 << np.arange(
-            len(self._free) - 1, -1, -1, dtype=np.int64
+        self._row_of_index, self._col_of_index, self._index_of_cell = (
+            cell_index_maps(free_t, bound_t, n_inputs)
         )
-        bound_weights = 1 << np.arange(
-            len(self._bound) - 1, -1, -1, dtype=np.int64
-        )
-        row_of_index = bits[:, list(self._free)] @ free_weights
-        col_of_index = bits[:, list(self._bound)] @ bound_weights
-
-        index_of_cell = np.full(
-            (self.n_rows, self.n_cols), -1, dtype=np.int64
-        )
-        index_of_cell[row_of_index, col_of_index] = indices
-        consistent = index_of_cell >= 0
-
-        row_of_index.setflags(write=False)
-        col_of_index.setflags(write=False)
-        index_of_cell.setflags(write=False)
+        consistent = self._index_of_cell >= 0
         consistent.setflags(write=False)
-        self._row_of_index = row_of_index
-        self._col_of_index = col_of_index
-        self._index_of_cell = index_of_cell
         self._consistent_mask = consistent
 
     # ------------------------------------------------------------------

@@ -5,7 +5,10 @@ partition of the input variables into the *free set* ``A`` (which indexes
 the rows of the Boolean matrix) and the *bound set* ``B`` (which indexes
 the columns).  :class:`InputPartition` is an immutable value object that
 captures the split and provides the vectorized index arithmetic mapping
-global input indices to (row, column) cells and back.
+global input indices to (row, column) cells and back.  The maps come
+from bit spreading (:func:`cell_index_maps`): each set's local index bits
+are moved to their global positions, so no ``(2**n, n)`` bit matrix is
+ever built.
 """
 
 from __future__ import annotations
@@ -16,7 +19,55 @@ import numpy as np
 
 from repro.errors import PartitionError
 
-__all__ = ["InputPartition"]
+__all__ = ["InputPartition", "cell_index_maps"]
+
+
+def _spread_index_bits(variables: Sequence[int], n_inputs: int) -> np.ndarray:
+    """Global input index of every local pattern over ``variables``.
+
+    Entry ``j`` is the index whose bits at ``variables`` spell ``j`` (the
+    first variable is the most significant bit of ``j``) and whose other
+    bits are zero.  Each variable doubles the vector: the next local bit
+    is less significant, so ``j' = 2 j + b``.
+    """
+    spread = np.zeros(1, dtype=np.int64)
+    for v in variables:
+        bit = np.array([0, 1 << (n_inputs - 1 - v)], dtype=np.int64)
+        spread = (spread[:, np.newaxis] | bit).ravel()
+    return spread
+
+
+def cell_index_maps(
+    free: Sequence[int], bound: Sequence[int], n_inputs: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_of_index, col_of_index, index_of_cell)`` of a free/bound split.
+
+    ``index_of_cell`` is the outer OR of the spread free and bound
+    patterns.  Where the sets share a variable and the two patterns
+    disagree on it, the cell is unreachable and holds ``-1``.  The row
+    and column maps are one scatter each through the reachable cells.
+    All three arrays are read-only.
+    """
+    free_spread = _spread_index_bits(free, n_inputs)
+    bound_spread = _spread_index_bits(bound, n_inputs)
+    cells = free_spread[:, np.newaxis] | bound_spread[np.newaxis, :]
+    row_of_index = np.empty(1 << n_inputs, dtype=np.int64)
+    col_of_index = np.empty(1 << n_inputs, dtype=np.int64)
+    shared = sum(1 << (n_inputs - 1 - v) for v in set(free) & set(bound))
+    if shared:
+        reachable = (free_spread & shared)[:, np.newaxis] == (
+            bound_spread & shared
+        )[np.newaxis, :]
+        cells = np.where(reachable, cells, -1)
+        rows, cols = np.nonzero(reachable)
+        row_of_index[cells[rows, cols]] = rows
+        col_of_index[cells[rows, cols]] = cols
+    else:
+        row_of_index[cells] = np.arange(free_spread.size)[:, np.newaxis]
+        col_of_index[cells] = np.arange(bound_spread.size)[np.newaxis, :]
+    for array in (row_of_index, col_of_index, cells):
+        array.setflags(write=False)
+    return row_of_index, col_of_index, cells
 
 
 class InputPartition:
@@ -71,32 +122,8 @@ class InputPartition:
         self._bound = bound_t
         self._n_inputs = n_inputs
         self._row_of_index, self._col_of_index, self._index_of_cell = (
-            self._build_maps()
+            cell_index_maps(free_t, bound_t, n_inputs)
         )
-
-    def _build_maps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self._n_inputs
-        size = 1 << n
-        indices = np.arange(size, dtype=np.int64)
-        # bit of variable v (0-based, x_1 = MSB) in each global index
-        shifts = np.array([n - 1 - v for v in range(n)], dtype=np.int64)
-        bits = (indices[:, np.newaxis] >> shifts) & 1  # (size, n)
-
-        free_weights = 1 << np.arange(
-            len(self._free) - 1, -1, -1, dtype=np.int64
-        )
-        bound_weights = 1 << np.arange(
-            len(self._bound) - 1, -1, -1, dtype=np.int64
-        )
-        row_of_index = bits[:, list(self._free)] @ free_weights
-        col_of_index = bits[:, list(self._bound)] @ bound_weights
-
-        index_of_cell = np.empty((self.n_rows, self.n_cols), dtype=np.int64)
-        index_of_cell[row_of_index, col_of_index] = indices
-        row_of_index.setflags(write=False)
-        col_of_index.setflags(write=False)
-        index_of_cell.setflags(write=False)
-        return row_of_index, col_of_index, index_of_cell
 
     # ------------------------------------------------------------------
     # Properties

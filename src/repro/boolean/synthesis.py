@@ -86,8 +86,21 @@ class DecomposedComponent:
         return self.f_table[phi_values.astype(np.intp), rows]
 
     def to_truth_vector(self) -> np.ndarray:
-        """Full truth vector over all ``2**n`` inputs."""
-        return self.evaluate(np.arange(1 << self.partition.n_inputs))
+        """Full truth vector over all ``2**n`` inputs.
+
+        One gather builds the cascade's matrix ``F(phi[col], row)``, which
+        is written to the inputs through ``index_of_cell``.  Unreachable
+        cells of an overlapping partition (``-1``) are skipped.
+        """
+        cells = self.partition.index_of_cell
+        matrix = self.f_table[self.phi].T  # (r, c)
+        flat = np.empty(1 << self.partition.n_inputs, dtype=np.uint8)
+        if cells.size == flat.size:
+            flat[cells] = matrix
+        else:
+            reachable = cells >= 0
+            flat[cells[reachable]] = matrix[reachable]
+        return flat
 
 
 def component_from_column_setting(

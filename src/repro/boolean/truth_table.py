@@ -18,6 +18,11 @@ Conventions
   ``2**k`` in the binary encoding ``Bin(W) = sum_k 2**k * g_k`` (the
   paper's 1-based ``2**(k-1)``).  Component ``m - 1`` is therefore the
   most significant output bit.
+* A table is immutable: its arrays are read-only and every derivation
+  returns a new table.  That is what lets a table keep its output words
+  (:attr:`TruthTable.words`) once computed, and lets
+  :meth:`TruthTable.with_component` derive the new table's words from the
+  old ones instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class TruthTable:
     9
     """
 
-    __slots__ = ("_outputs", "_probabilities")
+    __slots__ = ("_outputs", "_probabilities", "_words")
 
     def __init__(
         self, outputs: ArrayLike, probabilities: Optional[ArrayLike] = None
@@ -114,6 +119,7 @@ class TruthTable:
             probs = _validate_probabilities(np.asarray(probabilities), n_rows)
         self._probabilities = np.ascontiguousarray(probs)
         self._probabilities.setflags(write=False)
+        self._words: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -146,8 +152,11 @@ class TruthTable:
         n_outputs: int,
         probabilities: Optional[ArrayLike] = None,
     ) -> "TruthTable":
-        """Build a table from an array of output words (one per input index)."""
-        word_arr = np.asarray(words, dtype=np.int64)
+        """Build a table from an array of output words (one per input index).
+
+        The table keeps a private copy of ``words`` as its resident words.
+        """
+        word_arr = np.array(words, dtype=np.int64)
         size = 1 << n_inputs
         if word_arr.shape != (size,):
             raise DimensionError(
@@ -160,7 +169,10 @@ class TruthTable:
             )
         shifts = np.arange(n_outputs, dtype=np.int64)
         outputs = (word_arr[:, np.newaxis] >> shifts) & 1
-        return cls(outputs, probabilities)
+        table = cls(outputs, probabilities)
+        word_arr.setflags(write=False)
+        table._words = word_arr
+        return table
 
     @classmethod
     def from_vector_function(
@@ -225,9 +237,17 @@ class TruthTable:
 
     @property
     def words(self) -> np.ndarray:
-        """Output words ``Bin(G(X))`` for every input index, shape ``(2**n,)``."""
-        weights = (1 << np.arange(self.n_outputs, dtype=np.int64))
-        return self._outputs.astype(np.int64) @ weights
+        """Read-only output words ``Bin(G(X))`` per input index, ``(2**n,)``.
+
+        Computed on first use and then kept: the table never changes, so
+        its words never go stale.
+        """
+        if self._words is None:
+            weights = 1 << np.arange(self.n_outputs, dtype=np.int64)
+            words = self._outputs.astype(np.int64) @ weights
+            words.setflags(write=False)
+            self._words = words
+        return self._words
 
     # ------------------------------------------------------------------
     # Access and derivation
@@ -250,16 +270,35 @@ class TruthTable:
         return self.words[index]
 
     def with_component(self, k: int, values: ArrayLike) -> "TruthTable":
-        """Return a copy with component ``k`` replaced by ``values``."""
+        """Return a copy with component ``k`` replaced by ``values``.
+
+        Only the replacement column is validated; the rest was checked when
+        this table was built and cannot have changed.  The new table's words
+        are this table's plus ``(new - old) << k``.
+        """
+        if not 0 <= k < self.n_outputs:
+            raise DimensionError(
+                f"component index {k} out of range [0, {self.n_outputs})"
+            )
         vals = np.asarray(values, dtype=np.uint8)
         if vals.shape != (self.size,):
             raise DimensionError(
                 f"replacement component must have shape ({self.size},), "
                 f"got {vals.shape}"
             )
+        if vals.max() > 1:
+            raise DimensionError("outputs must contain only 0/1 entries")
         outputs = self._outputs.copy()
         outputs[:, k] = vals
-        return TruthTable(outputs, self._probabilities)
+        outputs.setflags(write=False)
+        delta = vals.astype(np.int64) - self._outputs[:, k]
+        words = self.words + (delta << k)
+        words.setflags(write=False)
+        table = TruthTable.__new__(TruthTable)
+        table._outputs = outputs
+        table._probabilities = self._probabilities
+        table._words = words
+        return table
 
     def with_probabilities(self, probabilities: ArrayLike) -> "TruthTable":
         """Return a copy with a different input distribution."""
@@ -291,6 +330,22 @@ class TruthTable:
 
     def __hash__(self) -> int:
         return hash((self._outputs.tobytes(), self._probabilities.tobytes()))
+
+    def __getstate__(self):
+        # the words are derived state: a pickle carries only the table, in
+        # the layout of a two-slot object
+        return None, {
+            "_outputs": self._outputs,
+            "_probabilities": self._probabilities,
+        }
+
+    def __setstate__(self, state) -> None:
+        slots = state[1]
+        for name in ("_outputs", "_probabilities"):
+            array = slots[name]
+            array.setflags(write=False)
+            setattr(self, name, array)
+        self._words = None
 
     def __repr__(self) -> str:
         return (

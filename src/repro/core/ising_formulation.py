@@ -106,13 +106,10 @@ def joint_mode_weights(
         )
     k_weight = float(1 << component)
 
-    out_weights = (1 << np.arange(m, dtype=np.int64)).astype(np.int64)
-    approx_words = approx_table.outputs.astype(np.int64) @ out_weights
-    approx_without_k = approx_words - (
+    approx_without_k = approx_table.words - (
         approx_table.outputs[:, component].astype(np.int64) << component
     )
-    exact_words = exact_table.words
-    deviation_flat = (approx_without_k - exact_words).astype(float)
+    deviation_flat = (approx_without_k - exact_table.words).astype(float)
 
     cells = partition.index_of_cell
     deviation = deviation_flat[cells]  # (r, c)

@@ -62,9 +62,7 @@ def _flat_error_terms(
             f"mode must be 'separate' or 'joint', got {mode!r}"
         )
     k_weight = float(1 << component)
-    out_weights = (1 << np.arange(m, dtype=np.int64)).astype(np.int64)
-    approx_words = approx_table.outputs.astype(np.int64) @ out_weights
-    approx_without_k = approx_words - (
+    approx_without_k = approx_table.words - (
         approx_table.outputs[:, component].astype(np.int64) << component
     )
     deviation = (approx_without_k - exact_table.words).astype(float)

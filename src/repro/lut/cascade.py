@@ -108,9 +108,8 @@ class LutCascadeDesign:
 
     def evaluate_word(self, index: Union[int, np.ndarray]) -> np.ndarray:
         """Output words ``Bin(G_hat(X))`` for input index/indices."""
-        bits = self.evaluate(index)
-        weights = 1 << np.arange(self.n_outputs, dtype=np.int64)
-        return bits.astype(np.int64) @ weights
+        bits = self.evaluate(index).astype(np.int64)
+        return (bits << np.arange(self.n_outputs)).sum(axis=-1)
 
     def to_truth_table(self, probabilities=None) -> TruthTable:
         """Materialize the cascade back into a truth table."""

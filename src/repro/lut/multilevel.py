@@ -25,6 +25,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.boolean.decomposition import column_setting_from_matrix
+from repro.boolean.partition import InputPartition
+from repro.boolean.synthesis import DecomposedComponent
 from repro.errors import DecompositionError
 from repro.lut.cascade import LutCascadeDesign
 
@@ -137,10 +139,12 @@ class LutNode:
 
     def to_truth_vector(self) -> np.ndarray:
         """Materialize the subtree back into a flat truth vector."""
-        size = 1 << self.n_inputs
-        shifts = np.arange(self.n_inputs - 1, -1, -1, dtype=np.int64)
-        patterns = (np.arange(size)[:, np.newaxis] >> shifts) & 1
-        return self.evaluate(patterns)
+        if self.is_leaf:
+            return self.table.copy()
+        partition = InputPartition(self.free, self.bound, self.n_inputs)
+        return DecomposedComponent(
+            partition, self.phi.to_truth_vector(), self.f_table
+        ).to_truth_vector()
 
 
 def decompose_vector_exactly(
@@ -166,22 +170,11 @@ def decompose_vector_exactly(
     if n < min_inputs:
         return LutNode(n_inputs=n, table=vec)
 
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (np.arange(1 << n)[:, np.newaxis] >> shifts) & 1
-
     best: Optional[LutNode] = None
     for free_size in range(1, n // 2 + 1):
         for free in combinations(range(n), free_size):
             bound = tuple(v for v in range(n) if v not in free)
-            free_w = 1 << np.arange(free_size - 1, -1, -1, dtype=np.int64)
-            bound_w = 1 << np.arange(
-                len(bound) - 1, -1, -1, dtype=np.int64
-            )
-            rows = bits[:, list(free)] @ free_w
-            cols = bits[:, list(bound)] @ bound_w
-            matrix = np.empty((1 << free_size, 1 << len(bound)),
-                              dtype=np.uint8)
-            matrix[rows, cols] = vec
+            matrix = vec[InputPartition(free, bound, n).index_of_cell]
             setting = column_setting_from_matrix(matrix)
             if setting is None:
                 continue

@@ -282,12 +282,18 @@ class JobStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         existed = self.path.exists()
         try:
-            with self._connect() as conn:
+            # sqlite3's context manager commits but never closes; a
+            # connection left to the cyclic GC can later checkpoint its
+            # WAL into whatever file then sits at this path
+            conn = self._connect()
+            try:
                 if existed:
                     self._integrity_check(conn)
                     self._migrate(conn)
                 conn.executescript(_SCHEMA)
                 conn.commit()
+            finally:
+                conn.close()
         except sqlite3.OperationalError:
             raise  # transient (locked / injected), not corruption
         except sqlite3.DatabaseError as exc:
@@ -350,16 +356,21 @@ class JobStore:
         conn = sqlite3.connect(
             self.path, timeout=self.BUSY_TIMEOUT_SECONDS
         )
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        # explicit busy handler: sqlite3's ``timeout=`` covers the
-        # Python wrapper, busy_timeout covers statements SQLite retries
-        # internally (WAL checkpoints), and the value survives
-        # ``BEGIN IMMEDIATE`` contention between worker processes
-        conn.execute(
-            f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_SECONDS * 1000)}"
-        )
+        try:
+            conn.row_factory = sqlite3.Row
+            # a garbage file fails here, on the first statement
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            # explicit busy handler: sqlite3's ``timeout=`` covers the
+            # Python wrapper, busy_timeout covers statements SQLite retries
+            # internally (WAL checkpoints), and the value survives
+            # ``BEGIN IMMEDIATE`` contention between worker processes
+            conn.execute(
+                f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_SECONDS * 1000)}"
+            )
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     @contextmanager

@@ -5,8 +5,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.boolean.overlapping import OverlappingPartition
 from repro.boolean.partition import InputPartition
 from repro.errors import PartitionError
+
+
+def bit_matrix_maps(free, bound, n_inputs):
+    """Reference maps from a ``(2**n, n)`` bit matrix and integer matmuls.
+
+    This is the construction the bit-spreading maps replaced; it stays
+    here as the oracle they must equal.
+    """
+    indices = np.arange(1 << n_inputs, dtype=np.int64)
+    shifts = np.array([n_inputs - 1 - v for v in range(n_inputs)])
+    bits = (indices[:, np.newaxis] >> shifts) & 1
+    free_weights = 1 << np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+    bound_weights = 1 << np.arange(len(bound) - 1, -1, -1, dtype=np.int64)
+    row_of_index = bits[:, list(free)] @ free_weights
+    col_of_index = bits[:, list(bound)] @ bound_weights
+    index_of_cell = np.full(
+        (1 << len(free), 1 << len(bound)), -1, dtype=np.int64
+    )
+    index_of_cell[row_of_index, col_of_index] = indices
+    return row_of_index, col_of_index, index_of_cell
+
+
+@st.composite
+def split_variables(draw, max_inputs=12, overlap=False):
+    """Free and bound sets of ``n`` variables, in any order within a set.
+
+    With ``overlap`` the free set also takes some bound variables.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_inputs))
+    order = draw(st.permutations(range(n)))
+    free_size = draw(st.integers(min_value=1, max_value=n - 1))
+    free, bound = list(order[:free_size]), list(order[free_size:])
+    if overlap:
+        shared = draw(st.lists(st.sampled_from(bound), unique=True,
+                               max_size=min(len(bound), 3)))
+        free = draw(st.permutations(free + shared))
+    return tuple(free), tuple(bound), n
 
 
 class TestValidation:
@@ -109,3 +147,33 @@ def test_cell_maps_bijective_property(n_inputs, seed):
     indices = np.arange(1 << n_inputs)
     recovered = w.index_of_cell[w.row_of_index, w.col_of_index]
     assert np.array_equal(recovered, indices)
+
+
+def assert_maps_equal(partition, reference):
+    for got, want in zip(
+        (partition.row_of_index, partition.col_of_index,
+         partition.index_of_cell),
+        reference,
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(split=split_variables())
+def test_spread_maps_equal_bit_matrix_maps(split):
+    free, bound, n = split
+    assert_maps_equal(
+        InputPartition(free, bound, n), bit_matrix_maps(free, bound, n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(split=split_variables(overlap=True))
+def test_overlapping_spread_maps_equal_bit_matrix_maps(split):
+    free, bound, n = split
+    w = OverlappingPartition(free, bound, n)
+    reference = bit_matrix_maps(free, bound, n)
+    assert_maps_equal(w, reference)
+    assert np.array_equal(w.consistent_mask, reference[2] >= 0)

@@ -141,3 +141,17 @@ class TestApplySettings:
         extracted = column_setting_from_matrix(matrix)
         twice = apply_column_setting(once, 2, small_partition, extracted)
         assert np.array_equal(once.outputs, twice.outputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_truth_vector_matches_cascade_evaluation(seed):
+    """The one-gather truth vector equals the cascade at every input."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    partition = random_partition(n, int(rng.integers(1, n)), rng)
+    setting = random_column_setting(partition.n_rows, partition.n_cols, rng)
+    component = component_from_column_setting(partition, setting)
+    vector = component.to_truth_vector()
+    assert vector.dtype == np.uint8
+    assert np.array_equal(vector, component.evaluate(np.arange(1 << n)))

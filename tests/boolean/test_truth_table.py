@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.boolean.truth_table`."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,18 @@ class TestAccessors:
         with pytest.raises(DimensionError):
             small_table.with_component(0, np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("k", [-1, -3, 3, 10])
+    def test_with_component_range_check(self, small_table, k):
+        # numpy would wrap a negative index onto the top output
+        with pytest.raises(DimensionError):
+            small_table.with_component(k, small_table.component(0))
+
+    def test_with_component_rejects_non_binary_values(self, small_table):
+        values = np.zeros(small_table.size, dtype=int)
+        values[5] = 2
+        with pytest.raises(DimensionError):
+            small_table.with_component(1, values)
+
     def test_restrict_keeps_order(self, small_table):
         sub = small_table.restrict([2, 0])
         assert np.array_equal(sub.component(0), small_table.component(2))
@@ -191,3 +205,57 @@ def test_evaluate_matches_outputs_property(seed):
     table = TruthTable.random(4, 3, rng)
     indices = rng.integers(0, 16, size=10)
     assert np.array_equal(table.evaluate(indices), table.outputs[indices])
+
+
+def words_from_outputs(table):
+    """Output words recomputed from the 0/1 matrix, bit by bit."""
+    words = np.zeros(table.size, dtype=np.int64)
+    for k in range(table.n_outputs):
+        words += table.outputs[:, k].astype(np.int64) << k
+    return words
+
+
+class TestResidentWords:
+    def test_words_are_kept_and_read_only(self, small_table):
+        words = small_table.words
+        assert small_table.words is words
+        assert not words.flags.writeable
+
+    def test_from_words_keeps_a_private_copy(self):
+        words = np.arange(16)
+        table = TruthTable.from_words(words, 4, 4)
+        words[0] = 7
+        assert table.words[0] == 0
+        assert np.array_equal(table.words, words_from_outputs(table))
+
+    def test_pickle_carries_no_words(self, small_table):
+        before = pickle.dumps(small_table)
+        _ = small_table.words  # makes the words resident
+        assert pickle.dumps(small_table) == before
+        restored = pickle.loads(before)
+        assert restored == small_table
+        assert not restored.outputs.flags.writeable
+        assert np.array_equal(restored.words, small_table.words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_inputs=st.integers(min_value=1, max_value=7),
+    n_outputs=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31),
+    steps=st.integers(min_value=1, max_value=12),
+)
+def test_words_follow_with_component_chains(n_inputs, n_outputs, seed, steps):
+    """After any chain of replacements the resident words are exact."""
+    rng = np.random.default_rng(seed)
+    table = TruthTable.random(n_inputs, n_outputs, rng)
+    if rng.random() < 0.5:
+        _ = table.words  # start from resident words
+    for _ in range(steps):
+        k = int(rng.integers(0, n_outputs))
+        values = rng.integers(0, 2, size=table.size)
+        table = table.with_component(k, values)
+        assert np.array_equal(table.component(k), values)
+    assert table.words.dtype == np.int64
+    assert np.array_equal(table.words, words_from_outputs(table))
+    assert table == TruthTable(table.outputs)

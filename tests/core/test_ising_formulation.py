@@ -42,6 +42,32 @@ def random_instance(seed, n_max=6, m_max=4):
     return rng, table, partition, component
 
 
+def joint_weights_from_outputs(exact_table, approx_table, component,
+                               partition):
+    """Eq. 16 with both tables' words recomputed from their outputs by an
+    integer matmul: the construction resident words replaced."""
+    out_weights = 1 << np.arange(exact_table.n_outputs, dtype=np.int64)
+    exact_words = exact_table.outputs.astype(np.int64) @ out_weights
+    approx_words = approx_table.outputs.astype(np.int64) @ out_weights
+    approx_without_k = approx_words - (
+        approx_table.outputs[:, component].astype(np.int64) << component
+    )
+    k_weight = float(1 << component)
+    deviation_flat = (approx_without_k - exact_words).astype(float)
+    cells = partition.index_of_cell
+    deviation = deviation_flat[cells]
+    probs = np.empty(cells.shape)
+    probs[:] = exact_table.probabilities[cells]
+    inner = (deviation >= -k_weight) & (deviation <= 0.0)
+    q = np.where(
+        inner, k_weight + 2.0 * deviation, k_weight * np.sign(deviation)
+    )
+    cell_constant = np.where(inner, -deviation, np.abs(deviation))
+    weights = probs * q
+    offset = float((probs * cell_constant).sum()) + float(weights.sum()) / 2.0
+    return weights, offset
+
+
 class TestSeparateMode:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -112,6 +138,25 @@ class TestJointMode:
             assert np.isclose(
                 objective, mean_error_distance(table, candidate)
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    def test_weights_bit_equal_to_words_from_outputs(self, seed):
+        """Resident words give the weights of words recomputed per call."""
+        rng, table, partition, k = random_instance(seed, n_max=8, m_max=6)
+        approx = table
+        for _ in range(int(rng.integers(0, 2 * table.n_outputs))):
+            other = random_partition(table.n_inputs, len(partition.free), rng)
+            approx = apply_column_setting(
+                approx, int(rng.integers(0, table.n_outputs)), other,
+                random_column_setting(other.n_rows, other.n_cols, rng),
+            )
+        weights, offset = joint_mode_weights(table, approx, k, partition)
+        want_weights, want_offset = joint_weights_from_outputs(
+            table, approx, k, partition
+        )
+        assert np.array_equal(weights, want_weights)
+        assert offset == want_offset
 
     def test_first_round_uses_exact_others(self, rng):
         """With approx == exact, joint objective is MED of replacing k."""

@@ -179,3 +179,21 @@ class TestNonDisjointDecomposer:
     def test_negative_overlap_rejected(self):
         with pytest.raises(Exception):
             NonDisjointDecomposer(overlap=-1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_overlapping_truth_vector_matches_cascade_evaluation(seed):
+    """Unreachable cells never leak into the one-gather truth vector."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    overlap = int(rng.integers(0, n - 1))
+    free_size = int(rng.integers(overlap + 1, n))
+    (partition,) = sample_overlapping_partitions(
+        n, free_size, overlap, 1, rng
+    )
+    setting = random_column_setting(partition.n_rows, partition.n_cols, rng)
+    cascade = overlapping_component(partition, setting)
+    assert np.array_equal(
+        cascade.to_truth_vector(), cascade.evaluate(np.arange(1 << n))
+    )
