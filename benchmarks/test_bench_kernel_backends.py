@@ -5,13 +5,16 @@ the shape class of the paper's n=16 runs) three ways:
 
 * the historical inline NumPy loop (frozen here, as in the unit tests),
 * the fused ``numpy64`` reference backend,
-* the fused float32 backends (``numpy32``/``native32``, plus ``numba``
-  when installed),
+* the fused float32 backends (``numpy32``/``native32``),
 
 plus a **batched** section: ``B`` independent problems advanced through
 one :class:`~repro.ising.kernels.BlockBatch` (the cross-job fusion
 path) vs stepping each problem alone with the ``numpy32`` kernel, at
-batch sizes 1/4/16/64.
+batch sizes 1/4/16/64.  Because that ratio mixes a backend change with
+stacking, the section also records the like-for-like number
+(``stacking_vs_solo``): each float32 backend stacked vs the *same*
+backend stepping every problem solo through the same sampling windows,
+at the 16x32 (n=9 Table-1) and 128x512 (n=16 Fig-4) core-COP shapes.
 
 Writes ``BENCH_kernels.json`` at the repo root with iterations/second
 per variant and speedups vs the baselines, and checks that the fast
@@ -179,15 +182,20 @@ BATCH_ITERATIONS = 100
 BATCH_REPLICAS = 4  # the framework default (CoreSolverConfig.n_replicas)
 SAMPLE_EVERY = 20   # the framework default sampling cadence
 BATCH_REPEATS = 3
+# like-for-like stacking: (r, c) core-COP shapes of n=9 |A|=4 and
+# n=16 |A|=7 runs, stepped long enough to time the small shape
+STACK_SHAPES = ((16, 32), (N_ROWS, N_COLS))
+STACK_ITERATIONS = 200
+STACK_REPEATS = 5
 
 
-def _batch_instance(batch_size):
+def _batch_instance(batch_size, n_rows=N_ROWS, n_cols=N_COLS):
     """``batch_size`` independent single-problem members, as the fused
     service path would prepare them (one member per job sweep)."""
     rng = np.random.default_rng(9000 + batch_size)
     problems = []
     for _ in range(batch_size):
-        weights = rng.normal(size=(1, N_ROWS, N_COLS)) / np.sqrt(N_COLS)
+        weights = rng.normal(size=(1, n_rows, n_cols)) / np.sqrt(n_cols)
         scorer = make_kernel(weights[0], backend="numpy64")
         n = scorer.n_spins
         c0 = 0.5 / (scorer.coupling_rms() * np.sqrt(n))
@@ -227,30 +235,39 @@ def _per_problem_numpy32(problems, pump):
     return best, finals
 
 
-def _batched_blockbatch(problems, pump, backend):
+def _batched_blockbatch(
+    problems,
+    pump,
+    backend,
+    strategy="auto",
+    n_iterations=BATCH_ITERATIONS,
+    repeats=BATCH_REPEATS,
+):
     """Fused path: one BlockBatch advanced in sampling windows.
     Packing happens outside the timed region (the service packs once
-    per fused round); only window advancement + pull is timed."""
+    per fused round); only window advancement + pull is timed.
+    ``strategy="solo"`` steps every problem alone through the same
+    windows — the like-for-like baseline for stacking."""
     members = []
     for weights, c0, x0, y0 in problems:
         kernel = make_kernel(weights, backend=backend)
         x, y = kernel.prepare_state(x0.copy(), y0.copy())
         members.append(BlockMember(kernel, weights, x, y, c0))
-    batch = BlockBatch(members, strategy="auto")
+    batch = BlockBatch(members, strategy=strategy)
     starts = [
         (np.asarray(m.x).copy(), np.asarray(m.y).copy())
         for m in members
     ]
 
     best, finals = np.inf, None
-    for _ in range(BATCH_REPEATS):
+    for _ in range(repeats):
         for member, (x0, y0) in zip(members, starts):
             np.asarray(member.x)[...] = x0
             np.asarray(member.y)[...] = y0
         t0 = time.perf_counter()
         iteration = 0
-        while iteration < BATCH_ITERATIONS:
-            width = min(SAMPLE_EVERY, BATCH_ITERATIONS - iteration)
+        while iteration < n_iterations:
+            width = min(SAMPLE_EVERY, n_iterations - iteration)
             a_ts = [pump(iteration + 1 + j) for j in range(width)]
             batch.advance(a_ts, DT, A0)
             iteration += width
@@ -270,6 +287,43 @@ def test_batched_blockbatch_throughput(benchmark):
         else "numpy32"
     )
     pump = LinearPump(A0, BATCH_ITERATIONS)
+    stack_pump = LinearPump(A0, STACK_ITERATIONS)
+    stack_backends = sorted({float32_backend, "numpy32"})
+
+    def stacking_vs_solo():
+        shapes = {}
+        for n_rows, n_cols in STACK_SHAPES:
+            rows = {}
+            for batch_size in BATCH_SIZES:
+                problems = _batch_instance(batch_size, n_rows, n_cols)
+                rows[str(batch_size)] = {}
+                for backend in stack_backends:
+                    solo_s, solo_finals = _batched_blockbatch(
+                        problems, stack_pump, backend, "solo",
+                        STACK_ITERATIONS, STACK_REPEATS,
+                    )
+                    stacked_s, stacked_finals = _batched_blockbatch(
+                        problems, stack_pump, backend, "auto",
+                        STACK_ITERATIONS, STACK_REPEATS,
+                    )
+                    problem_iters = batch_size * STACK_ITERATIONS
+                    rows[str(batch_size)][backend] = {
+                        "solo_iters_per_second": problem_iters / solo_s,
+                        "stacked_iters_per_second": (
+                            problem_iters / stacked_s
+                        ),
+                        "speedup_stacked_vs_solo": solo_s / stacked_s,
+                        "bit_identical_to_solo": all(
+                            np.array_equal(a, b)
+                            for a, b in zip(stacked_finals, solo_finals)
+                        ),
+                    }
+            shapes[f"{n_rows}x{n_cols}"] = {
+                "n_rows": n_rows,
+                "n_cols": n_cols,
+                "batch_sizes": rows,
+            }
+        return shapes
 
     def sweep():
         section = {}
@@ -296,9 +350,9 @@ def test_batched_blockbatch_throughput(benchmark):
                 "speedup_vs_per_problem_numpy32": base_s / fused_s,
                 "sign_agreement": agreement,
             }
-        return section
+        return section, stacking_vs_solo()
 
-    section = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    section, shapes = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     path = REPO_ROOT / "BENCH_kernels.json"
     payload = (
@@ -312,6 +366,13 @@ def test_batched_blockbatch_throughput(benchmark):
         "n_iterations": BATCH_ITERATIONS,
         "sample_every": SAMPLE_EVERY,
         "batch_sizes": section,
+        "stacking_vs_solo": {
+            "n_replicas": BATCH_REPLICAS,
+            "n_iterations": STACK_ITERATIONS,
+            "sample_every": SAMPLE_EVERY,
+            "timing": f"best of {STACK_REPEATS}",
+            "shapes": shapes,
+        },
     }
     write_bench_json("BENCH_kernels.json", payload)
 
@@ -325,6 +386,16 @@ def test_batched_blockbatch_throughput(benchmark):
             f"per-problem numpy32), "
             f"sign agreement {row['sign_agreement']:.3f}"
         )
+
+    for shape, block in shapes.items():
+        for batch_size, by_backend in block["batch_sizes"].items():
+            for backend, row in by_backend.items():
+                print(
+                    f"[kernels/stacking] {shape:>7} B={batch_size:>3} "
+                    f"{backend:>8}: stacked "
+                    f"{row['speedup_stacked_vs_solo']:5.2f}x solo, "
+                    f"bit-identical {row['bit_identical_to_solo']}"
+                )
 
     for batch_size in BATCH_SIZES:
         row = section[str(batch_size)]

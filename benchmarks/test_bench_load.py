@@ -99,7 +99,6 @@ def test_load_curves_slo_and_soak(tmp_path):
                 generator = OpenLoopGenerator(
                     submitter,
                     mix_name=mix.name,
-                    expect_rejections=mix.expect_rejections,
                     concurrency=8,
                 )
                 stages, rows = [], []

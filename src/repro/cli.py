@@ -16,10 +16,11 @@ Commands
     Show the registered Ising solvers and their capabilities.
 ``list-kernels``
     Show the SB kernel backends: availability (with the reason a
-    backend cannot be used), dtype, device, and batch support.
+    backend cannot be used) and dtype.
 ``submit``
-    Enqueue a decomposition job into a service directory, or — with
-    ``--remote URL`` — into a running gateway over HTTP.
+    Enqueue a decomposition job (or, with ``--ising-model``, a raw
+    Ising solve) into a service directory, or — with ``--remote URL``
+    — into a running gateway over HTTP.
 ``serve``
     Run the service worker pool over a service directory (drains the
     queue by default; ``--forever`` keeps serving; ``--http PORT``
@@ -287,13 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-solvers",
                    help="list registered Ising solvers and capabilities")
     sub.add_parser("list-kernels",
-                   help="list SB kernel backends (availability, dtype, "
-                        "device, batch support)")
+                   help="list SB kernel backends (availability, dtype)")
 
     subm = sub.add_parser(
         "submit",
-        help="enqueue a decomposition job (service dir or gateway), "
-             "or run a partitioned Ising solve",
+        help="enqueue a decomposition or raw Ising job (service dir or "
+             "gateway)",
     )
     _add_service_target(subm)
     _add_config_arguments(subm, workload_required=False)
@@ -304,31 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     subm.add_argument("--ising-model", type=Path, default=None,
                       metavar="PATH",
                       help="submit this repro-ising-problem JSON "
-                           "document instead of a workload (see "
-                           "python -m repro.partition.instances)")
+                           "document instead of a workload (python -m "
+                           "repro.loadgen.instances writes one)")
     subm.add_argument("--solver", default=None,
                       help="override the problem document's solver "
                            "name (requires --ising-model)")
-    subm.add_argument("--partition", type=int, default=None, metavar="K",
-                      help="split the Ising model into K blocks and "
-                           "run the partition-and-stitch coordinator "
-                           "synchronously (K=1 degenerates to one "
-                           "monolithic job); requires --ising-model")
-    subm.add_argument("--partition-rounds", type=int, default=8,
-                      metavar="N",
-                      help="boundary-coordination round budget "
-                           "(default: 8)")
-    subm.add_argument("--partition-tolerance", type=float, default=0.0,
-                      help="stop when the boundary energy changes by "
-                           "at most this much between rounds "
-                           "(default: 0.0, exact)")
-    subm.add_argument("--partition-seed", type=int, default=0,
-                      help="planner seed (partition shape + initial "
-                           "state)")
-    subm.add_argument("--out", type=Path, default=None,
-                      help="with --partition: write the stitched "
-                           "result document (result + verification "
-                           "verdict) to this path")
 
     serve = sub.add_parser(
         "serve", help="run the service worker pool over a service dir"
@@ -650,9 +630,8 @@ def _cmd_list_kernels() -> int:
             status = "available"
         else:
             status = f"unavailable: {info.unavailable_reason}"
-        batch = "batch" if info.supports_batch else "no-batch"
-        print(f"{info.name:<10} [{info.dtype:<7} {info.device:<4} "
-              f"{batch:<8}] {status:<12} {info.summary}")
+        print(f"{info.name:<10} [{info.dtype:<7}] {status:<12} "
+              f"{info.summary}")
     return 0
 
 
@@ -665,15 +644,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             "pass --workload NAME (decomposition job) or "
             "--ising-model PATH (raw Ising solve)"
         )
-    for flag, name in (
-        (args.partition, "--partition"),
-        (args.solver, "--solver"),
-    ):
-        if flag is not None:
-            raise ConfigurationError(
-                f"{name} requires --ising-model (decomposition jobs "
-                "are not partitioned)"
-            )
+    if args.solver is not None:
+        raise ConfigurationError(
+            "--solver requires --ising-model (decomposition jobs use "
+            "the paper's core solver)"
+        )
     spec = JobSpec(
         workload=args.workload,
         n_inputs=args.n_inputs,
@@ -699,23 +674,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _submit_ising(args: argparse.Namespace) -> int:
-    """``submit --ising-model``: enqueue or coordinate an Ising solve.
-
-    Without ``--partition`` this enqueues one raw-solve job exactly
-    like a decomposition submission (fire and forget).  With
-    ``--partition K`` it runs the partition-and-stitch coordinator
-    *synchronously* — subproblems flow through the chosen target as
-    ordinary jobs — then verifies the stitched result and exits 3 if
-    verification fails.
-    """
-    from repro.ising.wire import solve_result_to_dict, validate_problem
-    from repro.partition import (
-        LocalDispatcher,
-        RemoteDispatcher,
-        run_partitioned_spec,
-        verify_result,
-    )
-    from repro.service.spec import partition_block
+    """``submit --ising-model``: enqueue one raw Ising solve job, fire
+    and forget, exactly like a decomposition submission."""
+    from repro.ising.wire import validate_problem
 
     if args.workload is not None:
         raise ConfigurationError(
@@ -731,69 +692,27 @@ def _submit_ising(args: argparse.Namespace) -> int:
         problem = dict(problem)
         problem["solver"] = args.solver
     validate_problem(problem)
-    partition = None
-    if args.partition is not None:
-        partition = partition_block(
-            args.partition,
-            max_rounds=args.partition_rounds,
-            tolerance=args.partition_tolerance,
-            seed=args.partition_seed,
-        )
     spec = JobSpec(
         config=_config_from_args(args),
         ising=problem,
-        partition=partition,
         timeout_seconds=args.timeout,
         max_attempts=args.max_attempts,
     )
-    if args.partition is None:
-        if args.remote is not None:
-            job, deduplicated = _remote_client(args).submit(spec)
-            note = (
-                " (deduplicated — matched a live or finished twin)"
-                if deduplicated else ""
-            )
-        else:
-            service = DecompositionService(args.service_dir)
-            job = service.submit(spec)
-            note = " (artifact cached)" if (
-                job.artifact_key in service.artifacts
-            ) else ""
-        print(f"submitted {job.id}: {spec.describe()} "
-              f"key={job.artifact_key[:12]}...{note}")
-        return 0
     if args.remote is not None:
-        dispatcher = RemoteDispatcher(_remote_client(args))
+        job, deduplicated = _remote_client(args).submit(spec)
+        note = (
+            " (deduplicated — matched a live or finished twin)"
+            if deduplicated else ""
+        )
     else:
-        dispatcher = LocalDispatcher(
-            DecompositionService(args.service_dir)
-        )
-    stitched = run_partitioned_spec(dispatcher, spec)
-    result_doc = solve_result_to_dict(stitched.result)
-    verdict = verify_result(problem, result_doc)
-    document = {
-        "format": "repro-stitched-result",
-        "schema_version": 1,
-        "partition": stitched.summary(),
-        "result": result_doc,
-        "verdict": verdict,
-        "artifact_key": stitched.artifact_key,
-    }
-    print(f"partitioned solve: k={args.partition}, "
-          f"rounds={stitched.rounds}, "
-          f"stop={stitched.result.stop_reason}, "
-          f"objective={stitched.result.objective:.6f}, "
-          f"reused {stitched.reused_solves} subproblem solve(s)")
-    if stitched.artifact_key is not None:
-        print(f"artifact key: {stitched.artifact_key} "
-              "(identical to a monolithic submission)")
-    print(f"verified: {verdict['verified']}")
-    if args.out is not None:
-        args.out.write_text(
-            json.dumps(document, indent=2, sort_keys=True)
-        )
-        print(f"stitched result -> {args.out}")
-    return 0 if verdict["verified"] else 3
+        service = DecompositionService(args.service_dir)
+        job = service.submit(spec)
+        note = " (artifact cached)" if (
+            job.artifact_key in service.artifacts
+        ) else ""
+    print(f"submitted {job.id}: {spec.describe()} "
+          f"key={job.artifact_key[:12]}...{note}")
+    return 0
 
 
 def _graceful_sigterm(on_term=None) -> None:
@@ -1057,7 +976,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         generator = OpenLoopGenerator(
             MixSubmitter(client, profile, config),
             mix_name=profile.name,
-            expect_rejections=profile.expect_rejections,
             concurrency=args.concurrency,
         )
         summaries, stages = [], []

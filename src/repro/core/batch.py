@@ -10,8 +10,8 @@ backend call then advances *every* candidate's every replica — the
 software analogue of the massive parallelism the paper cites as SB's
 hardware advantage.  The stepping backend follows
 :attr:`~repro.core.config.CoreSolverConfig.backend` (``numpy64`` /
-``numpy32`` / ``numba`` / ``native32`` / ``torch`` / ``cupy``); decoded
-spins are always scored in float64.
+``numpy32`` / ``native32``); decoded spins are always scored in
+float64.
 
 The solve is split into *prepare* and *run* so independent sweeps can
 be fused: :func:`prepare_sweep` builds a :class:`PreparedSweep` (weight
@@ -173,15 +173,12 @@ class PreparedSweep:
         self.n_problems = dynamics.n_problems
         self.n_rows = dynamics.n_rows
         self.best_energy = np.full(self.n_problems, np.inf)
-        host_x = self.kernel.state_to_host(x)
-        self.best_spins = np.where(
-            host_x[:, 0, :] >= 0, 1.0, -1.0
-        ).astype(float)
+        self.best_spins = np.where(x[:, 0, :] >= 0, 1.0, -1.0).astype(float)
         self.probe = make_probe()
         if self.probe is not None:
             self.probe.on_begin(
                 n_spins=dynamics.n_spins,
-                n_replicas=host_x.shape[-2],
+                n_replicas=x.shape[-2],
                 max_iterations=config.max_iterations,
                 backend=self.kernel.name,
                 dtype=str(np.dtype(self.kernel.dtype)),
@@ -226,8 +223,8 @@ class PreparedSweep:
 
     def sample_point(self, iteration: int) -> None:
         """Sampling + Theorem-3 intervention at one schedule boundary."""
-        host_x = self.kernel.state_to_host(self.x)
-        spins = np.where(host_x >= 0, 1.0, -1.0)
+        x = self.x
+        spins = np.where(x >= 0, 1.0, -1.0)
         current = self._record(spins)
         if self.probe is not None:
             self.probe.on_sample(
@@ -235,12 +232,12 @@ class PreparedSweep:
             )
         if self.config.use_intervention:
             r = self.n_rows
-            v1_bits = (host_x[..., :r] >= 0).astype(np.uint8)
-            v2_bits = (host_x[..., r : 2 * r] >= 0).astype(np.uint8)
+            v1_bits = (x[..., :r] >= 0).astype(np.uint8)
+            v2_bits = (x[..., r : 2 * r] >= 0).astype(np.uint8)
             types = self.dynamics.optimal_types(v1_bits, v2_bits)
-            self.kernel.assign_types(self.x, self.y, types)
-            host_x = self.kernel.state_to_host(self.x)
-            spins_after = np.where(host_x >= 0, 1.0, -1.0)
+            # overwrites the type block of ``x`` in place
+            self.kernel.assign_types(x, self.y, types)
+            spins_after = np.where(x >= 0, 1.0, -1.0)
             changed = not np.array_equal(spins_after, spins)
             # skip the stack-wide re-score when the overwrite did not
             # flip any decoded type spin
@@ -250,8 +247,7 @@ class PreparedSweep:
                 self.probe.on_intervention(iteration, changed)
 
     def final_sample(self) -> None:
-        host_x = self.kernel.state_to_host(self.x)
-        self._record(np.where(host_x >= 0, 1.0, -1.0))
+        self._record(np.where(self.x >= 0, 1.0, -1.0))
         if self.probe is not None:
             self.probe.on_end(
                 n_iterations=self.config.max_iterations,

@@ -89,8 +89,10 @@ class CoreSolverConfig:
         Compute-kernel backend for the fused bSB step
         (:mod:`repro.ising.kernels`): ``"numpy64"`` (reference,
         bit-for-bit the historical inline loop), ``"numpy32"``
-        (float32 stepping, float64 scoring), or ``"numba"`` (JIT;
-        silently degrades to ``numpy64`` when numba is missing).
+        (float32 stepping, float64 scoring), or ``"native32"``
+        (compiled float32 tile engine; degrades to ``numpy64`` with a
+        warning when no C compiler is found).  Any other name fails
+        validation with :class:`~repro.errors.ConfigurationError`.
         ``None`` resolves through the ``REPRO_SB_BACKEND`` environment
         variable, which — when set — overrides this field too.
     trace_every:
@@ -207,8 +209,6 @@ class CoreSolverConfig:
 #: content-addressed cache must treat them as one backend
 _SEMANTIC_BACKEND_CLASS = {
     "native32": "numpy32",
-    "torch": "numpy32",
-    "cupy": "numpy32",
 }
 
 
@@ -216,12 +216,9 @@ def semantic_backend_name(backend: "Optional[str]") -> str:
     """The resolved backend's *tolerance class* for artifact keys.
 
     Resolves ``backend`` (including the ``REPRO_SB_BACKEND`` override
-    and unavailable-backend fallback), then maps accelerator float32
-    engines onto ``numpy32`` so cache keys do not fork on which device
-    happened to be plugged in.  ``numpy64`` and ``numba`` keep their
-    own names (``numba``'s fused float64 pass reorders summation, so it
-    was never bit-identical to ``numpy64`` — preserving its historical
-    key).
+    and unavailable-backend fallback), then maps the compiled float32
+    engine onto ``numpy32`` so cache keys do not fork on whether a C
+    compiler happened to be present.  ``numpy64`` keeps its own name.
     """
     from repro.ising.kernels import resolve_backend
 
@@ -362,9 +359,9 @@ class FrameworkConfig:
         ``REPRO_SB_BACKEND`` override) and then collapsed to its
         *tolerance class* by :func:`semantic_backend_name`, because the
         dtype changes float32-path numerics but which float32 engine
-        (``numpy32`` / ``native32`` / ``torch`` / ``cupy``) happened to
-        run must not fork artifact keys.  This is the payload the
-        service's content-addressed artifact store hashes.
+        (``numpy32`` / ``native32``) happened to run must not fork
+        artifact keys.  This is the payload the service's
+        content-addressed artifact store hashes.
         """
         data = self.to_dict()
         data.pop("n_workers")

@@ -65,7 +65,7 @@ from repro.core.ising_formulation import WeightCache
 from repro.resilience.rng import restore_rng
 from repro.core.partitions import sample_partitions
 from repro.core.solver import CoreCOPSolution, CoreCOPSolver
-from repro.ising.kernels import resolve_backend
+from repro.ising.kernels import backend_info, resolve_backend
 from repro.ising.solvers.base import SolveResult
 from repro.core.theorem3 import alternating_refinement
 from repro.boolean.random_functions import random_column_setting
@@ -436,6 +436,7 @@ class IsingDecomposer:
                 ]
         best = min(results, key=lambda item: item[0])
         objective, partition, setting, n_iterations = best
+        backend = resolve_backend(cfg.solver.backend)
         return CoreCOPSolution(
             setting=setting,
             objective=objective,
@@ -451,12 +452,8 @@ class IsingDecomposer:
                 runtime_seconds=time.perf_counter() - start,
                 metadata={
                     "solver": "bsb",
-                    "backend": resolve_backend(cfg.solver.backend),
-                    "dtype": (
-                        "float32"
-                        if resolve_backend(cfg.solver.backend) == "numpy32"
-                        else "float64"
-                    ),
+                    "backend": backend,
+                    "dtype": backend_info(backend).dtype,
                     "n_replicas": cfg.solver.n_replicas,
                 },
             ),

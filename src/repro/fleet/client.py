@@ -132,10 +132,9 @@ class FleetClient(GatewayClient):
         """Poll until *every* job reaches a terminal state.
 
         Returns records in the order of ``job_ids``.  One shared
-        deadline covers the whole set — this is the partition
-        coordinator's per-round fan-in, where the round is only as done
-        as its slowest subproblem.  Raises :class:`GatewayError`
-        (status 0) naming the still-pending jobs on timeout.
+        deadline covers the whole set, so a batch is only as done as
+        its slowest job.  Raises :class:`GatewayError` (status 0)
+        naming the still-pending jobs on timeout.
         """
         deadline = (
             None

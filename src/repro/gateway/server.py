@@ -49,7 +49,7 @@ from repro.errors import (
 from repro.obs.exporters import PROMETHEUS_CONTENT_TYPE
 from repro.obs.metrics import get_metrics
 from repro.service.service import DecompositionService
-from repro.service.spec import JobSpec, queue_artifact_key
+from repro.service.spec import JobSpec, spec_artifact_key
 from repro.service.telemetry import prometheus_exposition, service_summary
 
 __all__ = ["DecompositionGateway", "GatewayConfig", "TokenBucket"]
@@ -388,20 +388,40 @@ def _build_handler(gateway: DecompositionGateway):
         def _finish(self, status: int, body: bytes,
                     content_type: str = "application/json",
                     extra_headers: Optional[Dict[str, str]] = None) -> None:
+            """Write one response and account it.
+
+            A client that hung up before reading its response (an agent
+            stopped mid-claim, a timed-out submitter) is a counted
+            disconnect, not a handler traceback; the request is still
+            recorded, with no bytes out.
+            """
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             for key, value in (extra_headers or {}).items():
                 self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
+            bytes_out = len(body)
+            try:  # the first two calls that touch the socket
+                self.end_headers()
+                self.wfile.write(body)
+            except (BrokenPipeError, ConnectionResetError):
+                bytes_out = 0
+                self.close_connection = True
+                self._metrics_inc(
+                    "gateway_client_disconnects_total",
+                    "responses abandoned because the client went away",
+                )
+                logger.debug(
+                    "client %s went away before its %s %s response",
+                    self.client_address[0], self.command, self.path,
+                )
             gateway.record(
                 client=self.client_address[0],
                 method=self.command,
                 path=self.path,
                 status=status,
                 duration_seconds=time.perf_counter() - self._started,
-                bytes_out=len(body),
+                bytes_out=bytes_out,
             )
 
         def _json(self, status: int, payload: Dict,
@@ -676,9 +696,7 @@ def _build_handler(gateway: DecompositionGateway):
                 self._error(400, f"invalid JSON body: {exc}")
                 return
             spec = JobSpec.from_wire(payload)  # strict; 400 via ReproError
-            # also 400s partition-parent documents (k > 1): the fan-out
-            # is coordinated client-side, never enqueued wholesale
-            key = queue_artifact_key(spec)
+            key = spec_artifact_key(spec)
             live = service.store.find_by_key(
                 key, states=("queued", "running", "done")
             )

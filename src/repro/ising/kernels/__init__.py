@@ -1,26 +1,21 @@
-"""Fused multi-backend simulated-bifurcation kernels.
+"""Fused simulated-bifurcation kernels.
 
 See :mod:`repro.ising.kernels.base` for the backend contract and the
 selection rules (``CoreSolverConfig.backend`` / ``REPRO_SB_BACKEND``).
-Importing this package registers every backend usable in the current
-environment; known-but-unavailable optional backends (``numba``,
-``torch``, ``cupy``, ``native32`` without a compiler) degrade to
-``numpy64`` at resolution time with a single warning, while unknown
-names raise :class:`repro.errors.UnknownBackendError`.
+Importing this package registers every backend; a known-but-unavailable
+backend (``native32`` without a compiler) degrades to ``numpy64`` at
+resolution time with a single warning, while unknown names raise
+:class:`repro.errors.UnknownBackendError`.
 
 Backends registered here:
 
-========== ======= ====== ==============================================
-name       dtype   device notes
-========== ======= ====== ==============================================
-numpy64    float64 cpu    reference; bit-for-bit the historical loop
-numpy32    float32 cpu    tolerance contract, float64 scoring
-numba      float64 cpu    optional JIT single-pass step
-native32   float32 cpu    runtime-compiled C tile engine
-torch      float32 cpu/   optional array-API device stepping
-                   cuda
-cupy       float32 cuda   optional CUDA stepping
-========== ======= ====== ==============================================
+========== ======= ==============================================
+name       dtype   notes
+========== ======= ==============================================
+numpy64    float64 reference; bit-for-bit the historical loop
+numpy32    float32 tolerance contract, float64 scoring
+native32   float32 runtime-compiled C tile engine
+========== ======= ==============================================
 
 :mod:`repro.ising.kernels.blockbatch` packs compatible prepared sweeps
 into batched kernel calls (the ``BlockBatch`` planner).
@@ -41,24 +36,14 @@ from repro.ising.kernels.base import (
     resolve_backend,
 )
 from repro.ising.kernels.numpy_backend import NumPyBipartiteKernel
-from repro.ising.kernels import numba_backend  # noqa: F401  (registration)
-from repro.ising.kernels.numba_backend import NUMBA_AVAILABLE
 from repro.ising.kernels import native  # noqa: F401  (registration)
 from repro.ising.kernels.native import NATIVE_PROBED_AVAILABLE
-from repro.ising.kernels import array_api_backend  # noqa: F401  (registration)
-from repro.ising.kernels.array_api_backend import (
-    CUPY_AVAILABLE,
-    TORCH_AVAILABLE,
-)
 from repro.ising.kernels.blockbatch import Block, BlockBatch, BlockMember
 
 __all__ = [
-    "CUPY_AVAILABLE",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
     "NATIVE_PROBED_AVAILABLE",
-    "NUMBA_AVAILABLE",
-    "TORCH_AVAILABLE",
     "BackendInfo",
     "BipartiteSBKernel",
     "Block",

@@ -13,8 +13,9 @@ the *arithmetic* (owned by a :class:`BipartiteSBKernel` backend):
   traffic, roughly double the GEMM throughput.  Decoded settings agree
   with ``numpy64`` in practice but trajectories are *not* bitwise
   reproducible across BLAS builds; see ``docs/architecture.md``.
-* ``numba`` — optional JIT backend; registered only when :mod:`numba`
-  imports.  Requesting it on a machine without numba falls back to
+* ``native32`` — a runtime-compiled float32 tile engine
+  (:mod:`repro.ising.kernels.native`).  Without a C compiler it
+  registers as unavailable, and requesting it falls back to
   ``numpy64`` with a warning rather than failing.
 
 Selection order: the ``REPRO_SB_BACKEND`` environment variable (when
@@ -66,11 +67,12 @@ DEFAULT_BACKEND = "numpy64"
 _REGISTRY: Dict[str, Callable[[np.ndarray], "BipartiteSBKernel"]] = {}
 # name -> human-readable reason a known backend is not usable here
 _UNAVAILABLE: Dict[str, str] = {}
-# name -> descriptive metadata (dtype/device/batching), for list-kernels
+# name -> descriptive metadata (dtype, summary), for list-kernels and
+# the dtype a result reports
 _INFO: Dict[str, "BackendInfo"] = {}
 # unavailable backends already warned about this process (warn once —
-# the batched planner resolves backends per batch, and a missing numba
-# must not spam one warning per batch)
+# the batched planner resolves backends per batch, and a missing
+# compiler must not spam one warning per batch)
 _WARNED_FALLBACKS: Set[str] = set()
 
 
@@ -81,8 +83,6 @@ class BackendInfo:
     name: str
     available: bool
     dtype: str
-    device: str
-    supports_batch: bool
     summary: str
     unavailable_reason: Optional[str] = None
 
@@ -93,8 +93,6 @@ def register_backend(
     *,
     unavailable_reason: Optional[str] = None,
     dtype: str = "float64",
-    device: str = "cpu",
-    supports_batch: bool = True,
     summary: str = "",
 ) -> None:
     """Register a kernel backend (or record why it cannot be used).
@@ -117,8 +115,6 @@ def register_backend(
         name=name,
         available=factory is not None,
         dtype=dtype,
-        device=device,
-        supports_batch=supports_batch,
         summary=summary,
         unavailable_reason=unavailable_reason,
     )
@@ -159,8 +155,8 @@ def resolve_backend(
     """Resolve a backend request to the name of a usable backend.
 
     ``REPRO_SB_BACKEND`` (when set and non-empty) overrides ``backend``;
-    an unavailable-but-known backend (e.g. ``numba`` without numba
-    installed) falls back to :data:`DEFAULT_BACKEND` with a warning
+    an unavailable-but-known backend (e.g. ``native32`` without a C
+    compiler) falls back to :data:`DEFAULT_BACKEND` with a warning
     emitted once per process; an unknown name raises
     :class:`~repro.errors.UnknownBackendError` listing the valid names
     (environment-variable typos must fail loudly, not silently fall
@@ -311,21 +307,7 @@ class BipartiteSBKernel(abc.ABC):
             return "diverged"
         return None
 
-    # -- host boundary -------------------------------------------------
-    #
-    # Device-resident backends (torch / cupy) keep live states on the
-    # accelerator; everything that crosses back into seeded-search
-    # bookkeeping (sampling, interventions, checkpoints) goes through
-    # these hooks.  The NumPy defaults below are the exact historical
-    # operations, so host backends inherit bit-identical behavior.
-
-    def state_to_host(self, x) -> np.ndarray:
-        """A host ``ndarray`` view/copy of a live kernel state."""
-        return np.asarray(x)
-
-    def sign_readout(self, x) -> np.ndarray:
-        """Float ±1 sign decode of a position state, on the host."""
-        return np.where(self.state_to_host(x) >= 0, 1.0, -1.0)
+    # -- Theorem-3 reset -----------------------------------------------
 
     def assign_types(self, x, y, types: np.ndarray) -> None:
         """Overwrite the type-spin block in place (Theorem-3 reset).

@@ -18,7 +18,7 @@ call per iteration window:
     per-problem ``c0`` vector; member states become views into the
     packed arrays, so sampling and intervention code keeps operating on
     each member's own slice.  Used for float32 members (``numpy32`` /
-    ``native32`` / device backends), whose contract is tolerance-based
+    ``native32``), whose contract is tolerance-based
     — per-slice arithmetic is unchanged (broadcasted matmul and the
     vector-``c0`` multiply perform the same IEEE operations per slice),
     but this packing is *not* promised bit-stable across regroupings.
@@ -147,8 +147,12 @@ class _StackedBlock(Block):
         self._c0 = np.concatenate(
             [np.full(m.n_problems, m.c0) for m in members]
         )
-        self._x = _concat([m.x for m in members])
-        self._y = _concat([m.y for m in members])
+        self._x = np.ascontiguousarray(
+            np.concatenate([m.x for m in members], axis=0)
+        )
+        self._y = np.ascontiguousarray(
+            np.concatenate([m.y for m in members], axis=0)
+        )
         # hand each member a view of its slice so sampling/intervention
         # writes land in the packed arrays with no copies
         start = 0
@@ -224,27 +228,6 @@ class _PaddedBlock(Block):
                 packed[rows, :, s1] = src[..., :r]
                 packed[rows, :, s2] = src[..., r : 2 * r]
                 packed[rows, :, s3] = src[..., 2 * r :]
-
-
-def _concat(arrays):
-    """Problem-axis concatenation for host arrays or device tensors."""
-    first = arrays[0]
-    if isinstance(first, np.ndarray):
-        return np.ascontiguousarray(np.concatenate(arrays, axis=0))
-    # torch/cupy tensors: both expose ``cat``-style concatenation via
-    # their module; slicing the result shares storage like NumPy views
-    module = type(first).__module__.split(".")[0]
-    if module == "torch":  # pragma: no cover - device-only
-        import torch
-
-        return torch.cat(list(arrays), dim=0).contiguous()
-    if module == "cupy":  # pragma: no cover - device-only
-        import cupy
-
-        return cupy.ascontiguousarray(cupy.concatenate(arrays, axis=0))
-    raise ConfigurationError(
-        f"cannot pack states of type {type(first).__name__}"
-    )
 
 
 def _packable(member: BlockMember) -> bool:

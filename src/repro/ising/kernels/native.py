@@ -501,8 +501,6 @@ if NATIVE_PROBED_AVAILABLE:
         "native32",
         _make_native,
         dtype="float32",
-        device="cpu",
-        supports_batch=True,
         summary=_NATIVE_SUMMARY,
     )
 else:
@@ -510,7 +508,5 @@ else:
         "native32",
         unavailable_reason=_PROBE_REASON,
         dtype="float32",
-        device="cpu",
-        supports_batch=True,
         summary=_NATIVE_SUMMARY,
     )

@@ -157,15 +157,11 @@ register_backend(
     "numpy64",
     lambda w: NumPyBipartiteKernel(w, np.float64),
     dtype="float64",
-    device="cpu",
-    supports_batch=True,
     summary="float64 reference; bit-for-bit the historical inline loop",
 )
 register_backend(
     "numpy32",
     lambda w: NumPyBipartiteKernel(w, np.float32),
     dtype="float32",
-    device="cpu",
-    supports_batch=True,
     summary="float32 stepping, float64 scoring (tolerance contract)",
 )

@@ -35,7 +35,7 @@ and never special-case individual solvers:
     * ``"solver"`` — the registry name of the implementation
       (see :mod:`repro.ising.solvers.registry`);
     * ``"backend"`` — what executed the hot loop (a kernel name such as
-      ``"numpy64"``/``"numpy32"``/``"numba"``, or ``"inline"`` /
+      ``"numpy64"``/``"numpy32"``/``"native32"``, or ``"inline"`` /
       ``"dense"`` / ``"enumerate"`` for the non-kernel paths);
     * ``"dtype"`` — the stepping dtype of that hot loop (``"float64"``
       unless a reduced-precision kernel ran);

@@ -198,7 +198,7 @@ class BallisticSBSolver(IsingSolver):
     backend:
         Compute-kernel backend for the Euler step when the model
         provides one (``model.make_kernel``): ``"numpy64"`` (bit-for-bit
-        the historical inline loop), ``"numpy32"``, or ``"numba"``.
+        the historical inline loop), ``"numpy32"``, or ``"native32"``.
         ``None`` resolves through ``REPRO_SB_BACKEND`` and defaults to
         ``numpy64``; models without kernels use the generic inline path.
         Energy sampling always scores decoded spins in float64 through

@@ -1,12 +1,10 @@
 """Ising problems and solve results as portable JSON job payloads.
 
-The service layer historically knew exactly one problem kind — a truth
-table to decompose.  The partition-and-stitch subsystem
-(:mod:`repro.partition`) needs a second kind: *solve this raw Ising
-model with that registered solver*.  This module defines the canonical
-JSON shapes such jobs travel in, so an Ising subproblem rides the
-existing queue/gateway/fleet machinery as an ordinary
-:class:`~repro.service.spec.JobSpec` and its result is a
+Besides truth tables to decompose, the service runs a second problem
+kind: *solve this raw Ising model with that registered solver*.  This
+module defines the canonical JSON shapes such jobs travel in, so an
+Ising problem rides the existing queue/gateway/fleet machinery as an
+ordinary :class:`~repro.service.spec.JobSpec` and its result is a
 content-addressed artifact like any design document.
 
 Three document formats, all schema-versioned and strict (unknown keys
@@ -29,10 +27,7 @@ rejected with :class:`~repro.errors.ServiceError`):
     uniform metadata contract.
 
 :func:`ising_artifact_key` is the content address of one Ising job:
-SHA-256 over ``{model hash, solver name, semantic config, normalized
-partition block}``.  A partition block with ``k == 1`` normalizes to
-``None``, which is what makes a ``--partition 1`` submission produce
-*the identical artifact* as a monolithic submission by construction.
+SHA-256 over ``{model hash, solver name, semantic config}``.
 """
 
 from __future__ import annotations
@@ -121,7 +116,7 @@ def model_to_dict(model: IsingModel) -> Dict:
     Couplings travel as the strict upper triangle's nonzeros only — the
     matrix is symmetric with a zero diagonal by the
     :class:`DenseIsingModel` contract, so this is lossless and keeps
-    sparse boundary subproblems small on the wire.
+    sparse models small on the wire.
     """
     dense = (
         model if isinstance(model, DenseIsingModel) else model.to_dense()
@@ -293,8 +288,8 @@ def problem_model(data: Dict) -> DenseIsingModel:
 def build_problem_solver(problem: Dict, config: FrameworkConfig):
     """Construct the solver a problem document names.
 
-    ``bsb`` — the paper's core solver and the partition subsystem's
-    default — is configured from ``config.solver`` exactly like the
+    ``bsb`` — the paper's core solver and the problem default — is
+    configured from ``config.solver`` exactly like the
     core-COP path (stop criterion, pump ramp, replicas, backend), so an
     Ising job's artifact key can hash the same semantic config.  Every
     other registry name is constructed with its registry defaults.
@@ -411,34 +406,22 @@ def solve_result_from_dict(data: Dict) -> SolveResult:
 
 # -- content addressing ------------------------------------------------
 
-def ising_artifact_key(
-    problem: Dict,
-    config: FrameworkConfig,
-    partition: Optional[Dict] = None,
-) -> str:
+def ising_artifact_key(problem: Dict, config: FrameworkConfig) -> str:
     """Content-address one Ising job (module docstring).
 
     The ``decode`` hint is deliberately excluded — it never changes the
     seeded solve, so two submissions differing only in decode metadata
-    share the artifact.  A ``k == 1`` partition block normalizes to
-    ``None`` so the degenerate case keys identically to a monolithic
-    submission.
+    share the artifact.  The payload keeps a constant
+    ``"partition": None`` so keys match those of artifacts stored by
+    builds whose payload carried an optional partition block.
     """
-    normalized = None
-    if partition is not None and int(partition.get("k", 1)) > 1:
-        normalized = {
-            "k": int(partition["k"]),
-            "max_rounds": int(partition.get("max_rounds", 8)),
-            "tolerance": float(partition.get("tolerance", 0.0)),
-            "seed": int(partition.get("seed", 0)),
-        }
     payload = {
         "format": "repro-ising-key",
         "key_version": 1,
         "model_sha256": model_sha256(problem["model"]),
         "solver": problem["solver"],
         "config": config.semantic_dict(),
-        "partition": normalized,
+        "partition": None,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

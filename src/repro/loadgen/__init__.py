@@ -11,7 +11,9 @@ latency (the classic coordinated-omission trap of closed-loop drivers).
 Pieces (each its own module):
 
 * :mod:`~repro.loadgen.mixes` — declarative job-mix profiles
-  (dedup-heavy, cache-cold, mixed spin sizes, partition parents).
+  (dedup-heavy, cache-cold, mixed spin sizes).
+* :mod:`~repro.loadgen.instances` — the canonical raw Ising problem
+  documents the mixed-sizes mix submits (also ``python -m``).
 * :mod:`~repro.loadgen.generator` — the fixed-rate open-loop submitter
   (one attempt per scheduled arrival, no client retries) and the
   completion-latency collector.

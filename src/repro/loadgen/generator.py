@@ -70,7 +70,6 @@ class RequestSample:
     deduplicated: bool
     job_id: Optional[str]
     error_code: Optional[str]
-    expected_rejection: bool
 
     @property
     def lateness(self) -> float:
@@ -165,9 +164,6 @@ class OpenLoopGenerator:
     ----------
     submit:
         ``index -> SubmitOutcome``; typically a :class:`MixSubmitter`.
-    expect_rejections:
-        Stamped onto every sample (see
-        :attr:`~repro.loadgen.mixes.MixProfile.expect_rejections`).
     concurrency:
         Sender threads.  Bounds in-flight requests; when all senders
         are busy, arrivals go out late and the lateness is *recorded*
@@ -181,7 +177,6 @@ class OpenLoopGenerator:
         submit: Callable[[int], SubmitOutcome],
         *,
         mix_name: str = "custom",
-        expect_rejections: bool = False,
         concurrency: int = 8,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -190,7 +185,6 @@ class OpenLoopGenerator:
             raise ValueError("concurrency must be >= 1")
         self.submit = submit
         self.mix_name = mix_name
-        self.expect_rejections = expect_rejections
         self.concurrency = concurrency
         self._clock = clock
         self._sleep = sleep
@@ -235,7 +229,6 @@ class OpenLoopGenerator:
                     deduplicated=outcome.deduplicated,
                     job_id=outcome.job_id,
                     error_code=outcome.error_code,
-                    expected_rejection=self.expect_rejections,
                 )
 
         threads = [

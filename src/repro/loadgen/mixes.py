@@ -17,14 +17,9 @@ The shipped profiles each stress a different serving path:
     grows at the offered rate, and backpressure (503) is reachable.
 ``mixed-sizes``
     Raw Ising problems rotating through three spin counts (16/24/40
-    spins via :func:`~repro.partition.instances.separate_mode_instance`
+    spins via :func:`~repro.loadgen.instances.separate_mode_instance`
     at ``n_inputs`` 5/6/7), so request payloads and solve costs vary
     the way a multi-tenant queue's would.
-``partition-parents``
-    Partition parent documents (``k > 1``) the gateway must *refuse*
-    (400, code ``invalid_request`` — the fan-out is coordinated
-    client-side).  ``expect_rejections`` marks these so the recorder
-    scores the 400s as correct behavior, not availability loss.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Callable, Dict, List
 
 from repro.core.config import CoreSolverConfig, FrameworkConfig
 from repro.errors import ConfigurationError
-from repro.service.spec import JobSpec, partition_block
+from repro.service.spec import JobSpec
 
 __all__ = [
     "MixProfile",
@@ -82,23 +77,18 @@ class MixProfile:
     build:
         ``(index, base_config) -> JobSpec`` — must be deterministic in
         its arguments (see module docs).
-    expect_rejections:
-        True when the gateway is *supposed* to reject these requests
-        (e.g. partition parents); such rejections are excluded from
-        availability/error-rate accounting.
     """
 
     name: str
     summary: str
     build: Callable[[int, FrameworkConfig], JobSpec]
-    expect_rejections: bool = False
 
 
 @lru_cache(maxsize=None)
 def _ising_problem(n_inputs: int, free_size: int) -> Dict:
     # built once per size — problem construction is pure but not free,
     # and must never run inside the timed send loop
-    from repro.partition.instances import separate_mode_instance
+    from repro.loadgen.instances import separate_mode_instance
 
     return separate_mode_instance(
         workload="cos", n_inputs=n_inputs, free_size=free_size
@@ -125,16 +115,6 @@ def _mixed_sizes(index: int, config: FrameworkConfig) -> JobSpec:
     )
 
 
-def _partition_parents(index: int, config: FrameworkConfig) -> JobSpec:
-    n_inputs, free_size = _SIZE_LADDER[0]
-    seeded = dataclasses.replace(config, seed=config.seed + 3000 + index)
-    return JobSpec(
-        ising=_ising_problem(n_inputs, free_size),
-        config=seeded,
-        partition=partition_block(k=2, seed=index),
-    )
-
-
 MIXES: Dict[str, MixProfile] = {
     profile.name: profile
     for profile in (
@@ -157,14 +137,6 @@ MIXES: Dict[str, MixProfile] = {
                 "raw Ising solves rotating 16/24/40-spin problems"
             ),
             build=_mixed_sizes,
-        ),
-        MixProfile(
-            name="partition-parents",
-            summary=(
-                "partition parent docs (k=2) the gateway must 400"
-            ),
-            build=_partition_parents,
-            expect_rejections=True,
         ),
     )
 }

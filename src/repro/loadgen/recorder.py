@@ -67,27 +67,19 @@ def summarize_stage(
 ) -> Dict:
     """One JSON row of the latency-vs-offered-RPS curve.
 
-    ``error_rate`` counts unexpected failures only — a mix that is
-    *supposed* to be rejected (partition parents) contributes its 400s
-    to ``rejected``, not to errors, so SLO math stays meaningful.
+    ``error_rate`` counts every request that did not succeed;
     ``shed_rate`` counts 429 + 503 (the gateway protecting itself),
     which the knee rule treats separately from hard errors.
     """
     samples = stage.samples
     total = len(samples)
     ok = [s for s in samples if s.ok]
-    expected = [
-        s for s in samples if s.expected_rejection and not s.ok
-    ]
     shed = [s for s in samples if s.status in (429, 503)]
     errors = [
         s
         for s in samples
-        if not s.ok
-        and not s.expected_rejection
-        and s.status not in (429, 503)
+        if not s.ok and s.status not in (429, 503)
     ]
-    unexpected = total - len(ok) - len(expected)
     summary = {
         "offered_rps": round(stage.offered_rps, 3),
         "achieved_rps": round(stage.achieved_rps, 3),
@@ -97,7 +89,6 @@ def summarize_stage(
         "requests": total,
         "ok": len(ok),
         "deduplicated": sum(1 for s in ok if s.deduplicated),
-        "rejected": len(expected),
         "shed": len(shed),
         "errors": len(errors),
         "rate_429": sum(1 for s in samples if s.status == 429),
@@ -106,9 +97,7 @@ def summarize_stage(
             1 for s in samples if s.status == 0
         ),
         "shed_rate": round(len(shed) / total, 4) if total else 0.0,
-        "error_rate": (
-            round(max(0, unexpected) / max(1, total - len(expected)), 4)
-        ),
+        "error_rate": round((total - len(ok)) / max(1, total), 4),
         "mean_lateness_ms": (
             round(
                 sum(s.lateness for s in samples) / total * 1000.0, 3

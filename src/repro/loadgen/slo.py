@@ -3,9 +3,7 @@
 An :class:`SLOSpec` states two objectives over the load harness's
 recorded samples:
 
-* **availability** — the fraction of submissions that must succeed
-  (expected rejections, e.g. partition parents, are excluded from the
-  denominator: refusing an invalid request is correct behavior);
+* **availability** — the fraction of submissions that must succeed;
 * **latency** — a p95 bound on service latency (send → response).
 
 On top of the point-in-time availability check sits a **burn rate**:
@@ -117,15 +115,13 @@ def _burn_windows(
     stage: StageResult, slo: SLOSpec
 ) -> List[Dict]:
     """Per-window error rates and burn rates for one stage."""
-    considered = [
-        s for s in stage.samples if not s.expected_rejection or s.ok
-    ]
-    if not considered:
+    samples = stage.samples
+    if not samples:
         return []
-    horizon = max(s.scheduled for s in considered) + 1e-9
+    horizon = max(s.scheduled for s in samples) + 1e-9
     n_windows = max(1, int(horizon / slo.window_seconds) + 1)
     buckets: List[List[bool]] = [[] for _ in range(n_windows)]
-    for sample in considered:
+    for sample in samples:
         slot = min(
             n_windows - 1, int(sample.scheduled / slo.window_seconds)
         )
@@ -156,11 +152,8 @@ def evaluate_slo(
     soak plateau); windows never straddle stage boundaries.
     """
     all_samples = [s for stage in stages for s in stage.samples]
-    considered = [
-        s for s in all_samples if not s.expected_rejection or s.ok
-    ]
-    total = len(considered)
-    ok = sum(1 for s in considered if s.ok)
+    total = len(all_samples)
+    ok = sum(1 for s in all_samples if s.ok)
     observed_availability = ok / total if total else 1.0
     latencies = [s.latency for s in all_samples if s.status > 0]
     observed_p95_ms = percentile(latencies, 95.0) * 1000.0

@@ -76,8 +76,7 @@ def run_soak(
         right) — the armed ``client.connection_drop`` seam depends on
         retries to make submission eventually succeed.
     mix, config:
-        The traffic profile (must not be an expected-rejection mix)
-        and its base framework config.
+        The traffic profile and its base framework config.
     baseline_dir:
         Fresh directory for the unloaded local comparison service.
     plan:
@@ -88,17 +87,11 @@ def run_soak(
     Returns ``(summary, stage)`` — the JSON-ready soak block and the
     raw stage for SLO evaluation.
     """
-    if mix.expect_rejections:
-        raise ValueError(
-            f"mix {mix.name!r} expects rejections; soak needs "
-            "completable work"
-        )
     plan = plan if plan is not None else default_soak_plan()
     submitter = MixSubmitter(client, mix, config)
     generator = OpenLoopGenerator(
         submitter,
         mix_name=mix.name,
-        expect_rejections=False,
         concurrency=concurrency,
     )
     with fault_injection(plan):

@@ -3,8 +3,8 @@
 Library rule: ``repro`` never configures the root logger and never
 prints.  Importing :mod:`repro` attaches a :class:`logging.NullHandler`
 to the ``"repro"`` logger (via this module), so library warnings — e.g.
-the numba-backend fallback in :mod:`repro.ising.kernels` — are silent
-unless the *application* opts in.
+the unavailable-backend fallback in :mod:`repro.ising.kernels` — are
+silent unless the *application* opts in.
 
 The CLI opts in through :func:`configure_logging`, driven by its
 ``-v/--verbose`` and ``-q/--quiet`` flags::

@@ -51,12 +51,6 @@ Sites
 ``client.connection_drop``
     Raise ``http.client.IncompleteRead`` in the gateway client after
     the response headers — a connection reset mid-body.
-``partition.round_fail``
-    Raise :class:`InjectedFault` at the start of one boundary
-    coordination round of the partition-and-stitch coordinator
-    (:mod:`repro.partition.stitcher`) — exercises the coordinator's
-    bounded round retries (cached subproblem artifacts make a replayed
-    round cheap).
 
 Plans are picklable via :meth:`FaultPlan.to_spec` /
 :meth:`FaultPlan.from_spec` so the supervisor can re-install a parent's
@@ -108,7 +102,6 @@ FAULT_SITES = (
     "shard.unavailable",
     "shard.corrupt",
     "client.connection_drop",
-    "partition.round_fail",
 )
 
 

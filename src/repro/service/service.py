@@ -37,7 +37,7 @@ from repro.service.artifacts import ArtifactStore
 from repro.service.jobstore import JobRecord
 from repro.service.scheduler import Scheduler, SchedulerPolicy
 from repro.service.shards import open_job_store
-from repro.service.spec import JobSpec, queue_artifact_key
+from repro.service.spec import JobSpec, spec_artifact_key
 from repro.service.telemetry import service_summary
 from repro.service.worker import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -90,7 +90,7 @@ class DecompositionService:
         """Enqueue one job; duplicates are welcome (the artifact cache
         dedups them at execution time, the second solve never happens).
         """
-        key = queue_artifact_key(spec)
+        key = spec_artifact_key(spec)
         return self.store.submit(spec, artifact_key=key)
 
     def submit_batch(self, specs: Sequence[JobSpec]) -> List[JobRecord]:
@@ -109,7 +109,7 @@ class DecompositionService:
         gateway's ``POST /v1/jobs`` path, which makes client retries
         after a lost response safe.
         """
-        key = queue_artifact_key(spec)
+        key = spec_artifact_key(spec)
         live = self.store.find_by_key(
             key, states=("queued", "running", "done")
         )

@@ -47,6 +47,11 @@ unknown key is rejected with :class:`~repro.errors.ServiceError`
 (nested ``config`` payloads were already strict).  Job-store rows
 written before the wire format carry no ``format`` key and are still
 read through the legacy lenient path (:func:`spec_from_stored`).
+
+The one retired field is ``partition``: older builds wrote
+``"partition": null`` into every spec, so a null value still parses
+(and keys identically) on both paths, while any non-null block is
+rejected — Ising models are always solved whole.
 """
 
 from __future__ import annotations
@@ -66,13 +71,8 @@ __all__ = [
     "JobSpec",
     "SPEC_FORMAT",
     "SPEC_SCHEMA_VERSION",
-    "PARTITION_FORMAT",
-    "PARTITION_SCHEMA_VERSION",
     "artifact_key",
     "spec_artifact_key",
-    "queue_artifact_key",
-    "partition_block",
-    "validate_partition_block",
     "spec_from_stored",
     "table_to_dict",
     "table_from_dict",
@@ -82,84 +82,6 @@ __all__ = [
 SPEC_FORMAT = "repro-jobspec"
 #: current wire schema version (see the module docstring)
 SPEC_SCHEMA_VERSION = 1
-#: wire-format discriminator of a spec's partition block
-PARTITION_FORMAT = "repro-partition"
-#: current partition-block schema version
-PARTITION_SCHEMA_VERSION = 1
-
-#: every key a partition block may carry (strict, like the spec itself)
-_PARTITION_KEYS = frozenset(
-    {"format", "schema_version", "k", "max_rounds", "tolerance", "seed"}
-)
-
-
-def partition_block(
-    k: int,
-    max_rounds: int = 8,
-    tolerance: float = 0.0,
-    seed: int = 0,
-) -> Dict:
-    """Build a validated partition block for :attr:`JobSpec.partition`."""
-    return validate_partition_block(
-        {
-            "format": PARTITION_FORMAT,
-            "schema_version": PARTITION_SCHEMA_VERSION,
-            "k": int(k),
-            "max_rounds": int(max_rounds),
-            "tolerance": float(tolerance),
-            "seed": int(seed),
-        }
-    )
-
-
-def validate_partition_block(data: Dict) -> Dict:
-    """Strictly validate a partition block; returns it unchanged.
-
-    Same rules as the spec wire format: wrong ``format``, unsupported
-    ``schema_version``, and unknown keys are all rejected with
-    :class:`~repro.errors.ServiceError`.
-    """
-    if not isinstance(data, dict):
-        raise ServiceError(
-            f"partition block must be a JSON object, got "
-            f"{type(data).__name__}"
-        )
-    declared = data.get("format")
-    if declared != PARTITION_FORMAT:
-        raise ServiceError(
-            f"not a {PARTITION_FORMAT} block (format={declared!r})"
-        )
-    version = data.get("schema_version")
-    if version != PARTITION_SCHEMA_VERSION:
-        raise ServiceError(
-            f"unsupported partition block schema_version {version!r}; "
-            f"this build speaks version {PARTITION_SCHEMA_VERSION}"
-        )
-    unknown = sorted(set(data) - _PARTITION_KEYS)
-    if unknown:
-        raise ServiceError(
-            f"unknown partition block fields: {', '.join(unknown)}"
-        )
-    try:
-        k = int(data["k"])
-        max_rounds = int(data.get("max_rounds", 8))
-        tolerance = float(data.get("tolerance", 0.0))
-        int(data.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed partition block: {exc}") from exc
-    if k < 1:
-        raise ServiceError(f"partition k must be >= 1, got {k}")
-    if max_rounds < 1:
-        raise ServiceError(
-            f"partition max_rounds must be >= 1, got {max_rounds}"
-        )
-    if tolerance < 0:
-        raise ServiceError(
-            f"partition tolerance must be >= 0, got {tolerance}"
-        )
-    return data
-
-
 def table_to_dict(table: TruthTable) -> Dict:
     """Serialize a truth table (packed bits + distribution) to JSON."""
     packed = np.packbits(table.outputs.astype(np.uint8).ravel())
@@ -214,15 +136,6 @@ class JobSpec:
         the third problem kind: solve a raw Ising model with a named
         registry solver.  Exclusive with both ``workload`` and
         ``table``; validated strictly on construction.
-    partition:
-        Optional partition block (format ``repro-partition``) asking
-        the *client-side* coordinator to split the Ising model into
-        ``k`` subproblems with boundary-coordination rounds
-        (:mod:`repro.partition`).  Requires ``ising``.  A block with
-        ``k > 1`` is an orchestration document: the queue rejects it
-        (:func:`queue_artifact_key`) because the coordinator — not a
-        worker — owns the fan-out; ``k == 1`` degenerates to the
-        monolithic job (and is normalized out of the artifact key).
     timeout_seconds:
         Per-attempt wall-clock budget enforced via the framework's
         cooperative cancellation hook (``None`` — no timeout).
@@ -242,7 +155,6 @@ class JobSpec:
     n_inputs: int = 9
     table: Optional[Dict] = None
     ising: Optional[Dict] = None
-    partition: Optional[Dict] = None
     timeout_seconds: Optional[float] = None
     max_attempts: int = 3
     checkpoint_every: Optional[int] = None
@@ -263,13 +175,6 @@ class JobSpec:
             from repro.ising.wire import validate_problem
 
             validate_problem(self.ising)
-        if self.partition is not None:
-            if self.ising is None:
-                raise ServiceError(
-                    "a partition block requires an ising problem "
-                    "(decomposition jobs are not partitionable)"
-                )
-            validate_partition_block(self.partition)
         if self.max_attempts <= 0:
             raise ServiceError(
                 f"max_attempts must be positive, got {self.max_attempts}"
@@ -307,10 +212,7 @@ class JobSpec:
         if self.ising is not None:
             solver = self.ising.get("solver", "?")
             n_spins = (self.ising.get("model") or {}).get("n_spins", "?")
-            label = f"ising[{solver}]/N={n_spins}"
-            if self.partition is not None:
-                label += f"/k={self.partition.get('k', '?')}"
-            return label
+            return f"ising[{solver}]/N={n_spins}"
         return f"inline/n={self.table.get('n_inputs', '?')}"
 
     def to_dict(self) -> Dict:
@@ -321,7 +223,6 @@ class JobSpec:
             "n_inputs": self.n_inputs,
             "table": self.table,
             "ising": self.ising,
-            "partition": self.partition,
             "timeout_seconds": self.timeout_seconds,
             "max_attempts": self.max_attempts,
             "checkpoint_every": self.checkpoint_every,
@@ -332,6 +233,12 @@ class JobSpec:
         """Rebuild a spec persisted by :meth:`to_dict` (lenient legacy
         path — pre-wire job-store rows; new code uses :meth:`from_wire`).
         """
+        if isinstance(data, dict) and data.get("partition") is not None:
+            raise ServiceError(
+                "job spec carries a partition block, but Ising models "
+                "are always solved whole: the retired \"partition\" "
+                "field must be null or absent"
+            )
         try:
             return cls(
                 config=FrameworkConfig.from_dict(data["config"]),
@@ -339,7 +246,6 @@ class JobSpec:
                 n_inputs=int(data.get("n_inputs", 9)),
                 table=data.get("table"),
                 ising=data.get("ising"),
-                partition=data.get("partition"),
                 timeout_seconds=data.get("timeout_seconds"),
                 max_attempts=int(data.get("max_attempts", 3)),
                 checkpoint_every=data.get("checkpoint_every"),
@@ -381,7 +287,9 @@ class JobSpec:
                 f"unsupported job spec schema_version {version!r}; this "
                 f"build speaks version {SPEC_SCHEMA_VERSION}"
             )
-        known = {f.name for f in fields(cls)} | {"format", "schema_version"}
+        known = {f.name for f in fields(cls)} | {
+            "format", "schema_version", "partition",
+        }
         unknown = sorted(set(data) - known)
         if unknown:
             raise ServiceError(
@@ -437,30 +345,10 @@ def spec_artifact_key(spec: JobSpec) -> str:
 
     Decomposition jobs hash (truth table, semantic config) via
     :func:`artifact_key`; Ising jobs hash (model, solver, semantic
-    config, normalized partition block) via
-    :func:`repro.ising.wire.ising_artifact_key`.
+    config) via :func:`repro.ising.wire.ising_artifact_key`.
     """
     if spec.ising is not None:
         from repro.ising.wire import ising_artifact_key
 
-        return ising_artifact_key(spec.ising, spec.config, spec.partition)
+        return ising_artifact_key(spec.ising, spec.config)
     return artifact_key(spec.build_table(), spec.config)
-
-
-def queue_artifact_key(spec: JobSpec) -> str:
-    """:func:`spec_artifact_key`, guarding the queue's accept boundary.
-
-    A spec carrying a partition block with ``k > 1`` is a coordinator
-    document, not a runnable job — the fan-out is orchestrated
-    client-side (``repro submit --partition k``), so the service and
-    gateway both refuse to enqueue the parent.
-    """
-    if spec.partition is not None and int(spec.partition.get("k", 1)) > 1:
-        raise ServiceError(
-            f"spec carries a partition block with "
-            f"k={spec.partition.get('k')} — partitioned solves are "
-            "coordinated client-side (repro submit --partition K), "
-            "which submits the subproblems as ordinary jobs; the "
-            "parent document itself is not runnable"
-        )
-    return spec_artifact_key(spec)

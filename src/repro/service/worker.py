@@ -405,17 +405,17 @@ class JobExecutor:
     ) -> ExecutionOutcome:
         """Solve one raw Ising problem job (:mod:`repro.ising.wire`).
 
-        These jobs are the partition subsystem's subproblems (and any
-        direct ``--ising-model`` submission).  They are single seeded
-        solver runs — no components, so no checkpoints and no ``med``;
-        the artifact envelope's ``design`` slot carries the
-        ``repro-ising-result`` document instead of a cascade design.
+        These jobs come from ``repro submit --ising-model``.  They are
+        single seeded solver runs — no components, so no checkpoints
+        and no ``med``; the artifact envelope's ``design`` slot carries
+        the ``repro-ising-result`` document instead of a cascade
+        design.
 
         The per-worker size gate ``REPRO_ISING_MAX_SPINS`` (default
         4096, deliberately *not* part of the artifact key — it is an
-        operational limit, not problem semantics) is what makes
-        "beyond the monolithic practical limit" a hard error that
-        ``--partition k`` exists to route around.
+        operational limit, not problem semantics) turns a model too
+        wide for this worker into a hard error instead of an unbounded
+        allocation.
         """
         from repro.ising import wire
 
@@ -425,8 +425,7 @@ class JobExecutor:
         if n_spins > limit:
             raise ServiceError(
                 f"ising problem has {n_spins} spins, over this worker's "
-                f"single-solve limit of {limit} (REPRO_ISING_MAX_SPINS); "
-                "split it with `repro submit --partition K`"
+                f"single-solve limit of {limit} (REPRO_ISING_MAX_SPINS)"
             )
         model = wire.problem_model(problem)
         solver = wire.build_problem_solver(problem, spec.config)

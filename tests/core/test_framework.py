@@ -14,6 +14,7 @@ from repro.boolean.truth_table import TruthTable
 from repro.core.config import CoreSolverConfig, FrameworkConfig
 from repro.core.framework import IsingDecomposer
 from repro.errors import DimensionError
+from repro.ising.kernels import ENV_BACKEND, resolve_backend
 
 FAST_SOLVER = CoreSolverConfig(max_iterations=400, n_replicas=2)
 
@@ -222,3 +223,35 @@ class TestHooks:
             IsingDecomposer(
                 fast_config(n_rounds=3, stop_when_stalled=False)
             ).decompose(self._table(), should_cancel=cancel_after_two)
+
+
+class TestReportedDtype:
+    """Sweep metadata names the dtype of the backend that actually ran."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("backend", ["numpy64", "numpy32", "native32"])
+    def test_dtype_follows_the_resolved_backend(
+        self, monkeypatch, backend, batched
+    ):
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        table = TruthTable.from_integer_function(
+            lambda x: (x * x) % 32, n_inputs=5, n_outputs=5
+        )
+        config = fast_config(
+            n_partitions=2,
+            batched=batched,
+            solver=CoreSolverConfig(
+                max_iterations=60, n_replicas=2, backend=backend
+            ),
+        )
+        solution = IsingDecomposer(config)._optimize_component(
+            table, table, 0,
+            np.random.default_rng(1), np.random.default_rng(2),
+        )
+        metadata = solution.solve_result.metadata
+        # native32 resolves to numpy64 on a host without a C compiler
+        ran = resolve_backend(backend)
+        assert metadata["backend"] == ran
+        assert metadata["dtype"] == (
+            "float64" if ran == "numpy64" else "float32"
+        )

@@ -24,6 +24,7 @@ from repro.gateway import (
     GatewayConfig,
     RetryPolicy,
 )
+from repro.obs.metrics import get_metrics
 from repro.serialization import result_to_dict
 from repro.service import (
     DecompositionService,
@@ -305,6 +306,26 @@ class TestValidation:
             # nothing slipped into the queue
             assert service.store.pending() == 0
 
+    def test_retired_partition_field(self, tmp_path, fast_config):
+        """Older builds sent ``"partition": null`` with every spec; that
+        still enqueues, while any block is an ``invalid_request``."""
+        service = make_service(tmp_path)
+        wire = spec_for(fast_config).to_wire()
+        with DecompositionGateway(service, GatewayConfig(port=0)) as gw:
+            status, body = self._post(
+                gw.url, {**wire, "partition": {"k": 2}}
+            )
+            assert status == 400
+            assert body["error"]["code"] == "invalid_request"
+            assert "partition" in body["error"]["message"]
+            assert service.store.pending() == 0
+
+            status, body = self._post(gw.url, {**wire, "partition": None})
+            assert status == 201
+            assert body["job"]["artifact_key"] == artifact_key(
+                build_workload("cos", n_inputs=6).table, fast_config
+            )
+
     def test_invalid_json_and_oversized_bodies(self, tmp_path,
                                                fast_config):
         service = make_service(tmp_path)
@@ -333,6 +354,45 @@ class TestValidation:
             with pytest.raises(GatewayError) as excinfo:
                 client._request_json("GET", "/v2/everything")
             assert excinfo.value.status == 404
+
+
+class _HungUpWriter:
+    """A response stream whose client has already disconnected."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClientDisconnect:
+    def test_vanished_client_is_counted_and_logged(self, tmp_path):
+        service = make_service(tmp_path)
+        log_path = tmp_path / "access.jsonl"
+        config = GatewayConfig(port=0, access_log_path=log_path)
+        metric = get_metrics().counter("gateway_client_disconnects_total")
+        before = metric.value
+        with DecompositionGateway(service, config) as gw:
+            handler_class = gw._httpd.RequestHandlerClass
+            handler = handler_class.__new__(handler_class)
+            handler.client_address = ("127.0.0.1", 50000)
+            handler.command = "GET"
+            handler.path = "/v1/healthz"
+            handler.request_version = "HTTP/1.1"
+            handler.requestline = "GET /v1/healthz HTTP/1.1"
+            handler.close_connection = False
+            handler.wfile = _HungUpWriter()
+            handler.do_GET()  # must not raise
+            assert handler.close_connection
+        assert metric.value == before + 1
+        entries = [
+            json.loads(line)
+            for line in log_path.read_text().splitlines()
+        ]
+        assert [
+            (e["path"], e["status"], e["bytes_out"]) for e in entries
+        ] == [("/v1/healthz", 200, 0)]
 
 
 class TestAccessLog:

@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 
 from repro.core.config import CoreSolverConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownBackendError
 from repro.ising.kernels import (
     DEFAULT_BACKEND,
     ENV_BACKEND,
-    NUMBA_AVAILABLE,
     available_backends,
+    backend_info,
     known_backends,
     make_kernel,
+    register_backend,
     reset_fallback_warnings,
     resolve_backend,
 )
+from repro.ising.kernels import base as kernel_base
 from repro.ising.schedules import LinearPump
 from repro.ising.solvers.bsb import BallisticSBSolver
 from repro.ising.stop_criteria import FixedIterations
@@ -225,8 +227,17 @@ class TestRegistry:
         assert "numpy64" in available_backends()
         assert "numpy32" in available_backends()
 
-    def test_numba_is_always_known(self):
-        assert "numba" in known_backends()
+    @pytest.mark.parametrize("name", ["numba", "torch", "cupy"])
+    def test_removed_backends_are_unknown(self, monkeypatch, name):
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        assert name not in known_backends()
+        with pytest.raises(UnknownBackendError):
+            resolve_backend(name)
+        with pytest.raises(ConfigurationError):
+            CoreSolverConfig(backend=name)
+        monkeypatch.setenv(ENV_BACKEND, name)
+        with pytest.raises(UnknownBackendError):
+            resolve_backend(None)
 
     def test_default_resolution(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
@@ -247,48 +258,42 @@ class TestRegistry:
             CoreSolverConfig(backend="not-a-backend")
         assert CoreSolverConfig(backend="numpy32").backend == "numpy32"
 
-    @pytest.mark.skipif(
-        NUMBA_AVAILABLE, reason="numba installed; no fallback to test"
-    )
-    def test_missing_numba_falls_back_warning_once(
+    def test_unavailable_backend_falls_back_warning_once(
         self, monkeypatch, rng, caplog
     ):
+        # a private copy of the registry tables keeps the registration
+        # below from leaking into other tests
+        for table in ("_REGISTRY", "_UNAVAILABLE", "_INFO"):
+            monkeypatch.setattr(
+                kernel_base, table, dict(getattr(kernel_base, table))
+            )
+        register_backend(
+            "offline32",
+            unavailable_reason="needs hardware this host lacks",
+            dtype="float32",
+        )
         monkeypatch.delenv(ENV_BACKEND, raising=False)
+        assert "offline32" in known_backends()
+        assert not backend_info("offline32").available
         reset_fallback_warnings()
         with caplog.at_level("WARNING", logger="repro.ising.kernels"):
-            assert resolve_backend("numba") == DEFAULT_BACKEND
+            assert resolve_backend("offline32") == DEFAULT_BACKEND
         assert any(
-            "numba" in record.getMessage() for record in caplog.records
+            "offline32" in record.getMessage() for record in caplog.records
         )
         # the fallback warns exactly once per process, not once per
         # resolve/batch — repeated resolutions stay silent
         caplog.clear()
         with caplog.at_level("WARNING", logger="repro.ising.kernels"):
-            assert resolve_backend("numba") == DEFAULT_BACKEND
-            kernel = make_kernel(rng.normal(size=(2, 3)), backend="numba")
+            assert resolve_backend("offline32") == DEFAULT_BACKEND
+            kernel = make_kernel(
+                rng.normal(size=(2, 3)), backend="offline32"
+            )
         assert not caplog.records
         assert kernel.dtype == np.float64
         reset_fallback_warnings()
         with caplog.at_level("WARNING", logger="repro.ising.kernels"):
-            assert resolve_backend("numba") == DEFAULT_BACKEND
+            assert resolve_backend("offline32") == DEFAULT_BACKEND
         assert any(
-            "numba" in record.getMessage() for record in caplog.records
+            "offline32" in record.getMessage() for record in caplog.records
         )
-
-    @pytest.mark.skipif(
-        not NUMBA_AVAILABLE, reason="needs an installed numba"
-    )
-    def test_numba_matches_numpy64_closely(self, rng):
-        w = rng.normal(size=(4, 7))
-        k64 = make_kernel(w, backend="numpy64")
-        knb = make_kernel(w, backend="numba")
-        n = k64.n_spins
-        x0 = rng.uniform(-0.1, 0.1, (2, n))
-        y0 = rng.uniform(-0.1, 0.1, (2, n))
-        pump = LinearPump(1.0, 40)
-        xa, ya = k64.prepare_state(x0.copy(), y0.copy())
-        xb, yb = knb.prepare_state(x0.copy(), y0.copy())
-        for iteration in range(1, 101):
-            k64.step(xa, ya, pump(iteration), 0.25, 1.0, 0.3)
-            knb.step(xb, yb, pump(iteration), 0.25, 1.0, 0.3)
-        assert np.allclose(xa, xb, atol=1e-9)

@@ -47,8 +47,6 @@ class TestMetadata:
     def test_registered_with_metadata(self):
         info = backend_info("native32")
         assert info.dtype == "float32"
-        assert info.device == "cpu"
-        assert info.supports_batch
         # availability matches the import-time probe
         assert info.available == NATIVE_PROBED_AVAILABLE
 

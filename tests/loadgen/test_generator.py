@@ -92,18 +92,6 @@ class TestScheduling:
         with pytest.raises(ValueError, match="concurrency"):
             OpenLoopGenerator(_ok, concurrency=0)
 
-    def test_expect_rejections_stamped_on_samples(self):
-        clock = FakeClock()
-        gen = OpenLoopGenerator(
-            lambda i: SubmitOutcome(status=400, ok=False),
-            expect_rejections=True,
-            concurrency=1,
-            clock=clock,
-            sleep=clock.sleep,
-        )
-        stage = gen.run(rps=5.0, duration_seconds=0.4)
-        assert all(s.expected_rejection for s in stage.samples)
-
 
 class TestStageResult:
     def _stage(self, samples):
@@ -128,7 +116,6 @@ class TestStageResult:
             deduplicated=False,
             job_id="job-a",
             error_code=None,
-            expected_rejection=False,
         )
         base.update(overrides)
         return RequestSample(**base)

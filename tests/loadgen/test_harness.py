@@ -24,7 +24,6 @@ def run_stage(gateway, mix_name, config, *, rps, duration):
     generator = OpenLoopGenerator(
         submitter,
         mix_name=mix.name,
-        expect_rejections=mix.expect_rejections,
         concurrency=4,
     )
     stage = generator.run(rps=rps, duration_seconds=duration)
@@ -60,28 +59,6 @@ class TestSweep:
         knee = find_knee([row])
         assert knee["saturated"] is False
         assert knee["offered_rps"] == row["offered_rps"]
-
-    def test_partition_parents_reject_cleanly(
-        self, serving_gateway, load_config
-    ):
-        _, stage = run_stage(
-            serving_gateway,
-            "partition-parents",
-            load_config,
-            rps=5.0,
-            duration=1.0,
-        )
-        assert len(stage.samples) == 5
-        assert all(
-            s.status == 400 and s.error_code == "invalid_request"
-            for s in stage.samples
-        )
-        row = summarize_stage(stage)
-        assert row["rejected"] == 5
-        assert row["errors"] == 0 and row["error_rate"] == 0.0
-        verdict = evaluate_slo(SLOSpec(), [stage])
-        assert verdict["availability"]["requests"] == 0
-        assert verdict["ok"]
 
     def test_slo_verdict_over_live_stage(
         self, serving_gateway, load_config

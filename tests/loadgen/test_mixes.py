@@ -6,18 +6,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.loadgen.mixes import default_load_config, get_mix, mix_names
-from repro.service.spec import queue_artifact_key, spec_artifact_key
+from repro.service.spec import spec_artifact_key
 
 
 class TestRegistry:
     def test_names(self):
         assert mix_names() == sorted(
-            [
-                "dedup-heavy",
-                "cache-cold",
-                "mixed-sizes",
-                "partition-parents",
-            ]
+            ["dedup-heavy", "cache-cold", "mixed-sizes"]
         )
 
     def test_unknown_mix_rejected(self):
@@ -45,7 +40,6 @@ class TestProfiles:
             for i in range(12)
         }
         assert len(keys) == 4  # the working set, not 12 distinct jobs
-        assert not mix.expect_rejections
 
     def test_cache_cold_never_repeats(self, load_config):
         mix = get_mix("cache-cold")
@@ -66,16 +60,6 @@ class TestProfiles:
         assert spec_artifact_key(
             mix.build(0, load_config)
         ) != spec_artifact_key(mix.build(3, load_config))
-
-    def test_partition_parents_are_queue_rejected(self, load_config):
-        mix = get_mix("partition-parents")
-        assert mix.expect_rejections
-        spec = mix.build(0, load_config)
-        assert spec.partition["k"] == 2
-        from repro.errors import ServiceError
-
-        with pytest.raises(ServiceError, match="partition"):
-            queue_artifact_key(spec)
 
     def test_mix_seeds_do_not_collide_across_profiles(self, load_config):
         # each profile offsets seeds into its own band, so two mixes

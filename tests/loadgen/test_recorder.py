@@ -13,7 +13,7 @@ from repro.loadgen.recorder import (
 from repro.loadgen.report import render_load_report
 
 
-def sample(index, *, status=201, ok=True, latency=0.02, expected=False):
+def sample(index, *, status=201, ok=True, latency=0.02):
     return RequestSample(
         mix="t",
         index=index,
@@ -26,7 +26,6 @@ def sample(index, *, status=201, ok=True, latency=0.02, expected=False):
         deduplicated=ok and index % 2 == 1,
         job_id=f"job-{index}" if ok else None,
         error_code=None if ok else "x",
-        expected_rejection=expected,
     )
 
 
@@ -64,32 +63,22 @@ class TestSummarizeStage:
             [sample(i) for i in range(6)]
             + [sample(6, status=429, ok=False)]
             + [sample(7, status=503, ok=False)]
-            + [sample(8, status=400, ok=False, expected=True)]
+            + [sample(8, status=400, ok=False)]
             + [sample(9, status=0, ok=False)]
         )
         row = summarize_stage(self._stage(samples))
         assert row["requests"] == 10
         assert row["ok"] == 6
         assert row["deduplicated"] == 3
-        assert row["rejected"] == 1
         assert row["shed"] == 2
         assert row["rate_429"] == 1 and row["rate_503"] == 1
         assert row["connection_failures"] == 1
         assert row["shed_rate"] == pytest.approx(0.2)
-        # 3 unexpected failures over 9 considered (expected excluded)
-        assert row["error_rate"] == pytest.approx(3 / 9, abs=1e-4)
+        # 400, 429, 503 and the connection failure: 4 of 10 failed
+        assert row["errors"] == 2
+        assert row["error_rate"] == pytest.approx(4 / 10, abs=1e-4)
         # connection failures (status 0) carry no service latency
         assert row["service_latency"]["count"] == 9
-
-    def test_expected_rejections_are_not_errors(self):
-        samples = [
-            sample(i, status=400, ok=False, expected=True)
-            for i in range(5)
-        ]
-        row = summarize_stage(self._stage(samples))
-        assert row["errors"] == 0
-        assert row["error_rate"] == 0.0
-        assert row["rejected"] == 5
 
     def test_completion_latency_block(self):
         row = summarize_stage(

@@ -14,7 +14,6 @@ def sample(
     ok=True,
     status=201,
     latency=0.01,
-    expected_rejection=False,
 ):
     return RequestSample(
         mix="t",
@@ -28,7 +27,6 @@ def sample(
         deduplicated=False,
         job_id=f"job-{index}" if ok else None,
         error_code=None if ok else "unavailable",
-        expected_rejection=expected_rejection,
     )
 
 
@@ -123,23 +121,6 @@ class TestEvaluate:
         assert verdict["burn_rate"]["max"] == pytest.approx(1.2)
         assert not verdict["burn_rate"]["ok"]
         assert not verdict["ok"]
-
-    def test_expected_rejections_do_not_count_against_availability(self):
-        slo = SLOSpec(availability=0.99)
-        rejected = [
-            sample(
-                i,
-                i * 0.1,
-                ok=False,
-                status=400,
-                expected_rejection=True,
-            )
-            for i in range(10)
-        ]
-        verdict = evaluate_slo(slo, [stage(rejected + [sample(10, 1.0)])])
-        assert verdict["availability"]["requests"] == 1
-        assert verdict["availability"]["observed"] == 1.0
-        assert verdict["ok"]
 
     def test_latency_breach(self):
         slo = SLOSpec(latency_p95_ms=50.0)

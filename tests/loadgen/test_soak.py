@@ -1,7 +1,5 @@
 """Soak mode: byte-identical artifacts under chaos + load."""
 
-import pytest
-
 from repro.gateway import GatewayClient
 from repro.loadgen import default_soak_plan, get_mix, run_soak
 from repro.resilience import FaultPlan, FaultRule
@@ -57,19 +55,6 @@ class TestRunSoak:
         )
         assert summary["resubmitted_after_chaos"] == 2
         assert summary["byte_identical"] is True
-
-    def test_rejects_expected_rejection_mixes(
-        self, tmp_path, load_config
-    ):
-        with pytest.raises(ValueError, match="expects rejections"):
-            run_soak(
-                object(),
-                get_mix("partition-parents"),
-                load_config,
-                rps=1.0,
-                duration_seconds=1.0,
-                baseline_dir=tmp_path / "baseline",
-            )
 
     def test_default_plan_shape(self):
         plan = default_soak_plan(seed=7)

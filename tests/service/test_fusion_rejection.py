@@ -14,7 +14,7 @@ import pytest
 from repro.core import CoreSolverConfig, FrameworkConfig
 from repro.obs.logconfig import get_logger, reset_warn_once, warn_once
 from repro.obs.metrics import get_metrics
-from repro.partition.instances import separate_mode_instance
+from repro.loadgen.instances import separate_mode_instance
 from repro.service import DecompositionService, JobSpec, SchedulerPolicy
 from repro.service.worker import _fusion_rejection
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.service.jobstore import JobRecord, JobStore
 from repro.service.spec import (
     SPEC_FORMAT,
@@ -82,6 +82,13 @@ class TestStrictParsing:
         wire = spec.to_wire()
         del wire["config"]
         with pytest.raises(ServiceError, match="config"):
+            JobSpec.from_wire(wire)
+
+    @pytest.mark.parametrize("backend", ["numba", "torch", "cupy"])
+    def test_removed_backend_is_a_typed_error(self, spec, backend):
+        wire = spec.to_wire()
+        wire["config"]["solver"]["backend"] = backend
+        with pytest.raises(ReproError, match=backend):
             JobSpec.from_wire(wire)
 
 
