@@ -7,14 +7,17 @@ the shape class of the paper's n=16 runs) three ways:
 * the fused ``numpy64`` reference backend,
 * the fused float32 backends (``numpy32``/``native32``),
 
-plus a **batched** section: ``B`` independent problems advanced through
-one :class:`~repro.ising.kernels.BlockBatch` (the cross-job fusion
-path) vs stepping each problem alone with the ``numpy32`` kernel, at
-batch sizes 1/4/16/64.  Because that ratio mixes a backend change with
-stacking, the section also records the like-for-like number
-(``stacking_vs_solo``): each float32 backend stacked vs the *same*
-backend stepping every problem solo through the same sampling windows,
-at the 16x32 (n=9 Table-1) and 128x512 (n=16 Fig-4) core-COP shapes.
+plus a **batched** section: ``B`` independent problems stacked into one
+kernel by :func:`repro.core.batch.stack_states` (what
+``run_prepared_sweeps`` does with a component's float32 chunk sweeps)
+vs stepping each problem alone with the ``numpy32`` kernel, at batch
+sizes 1/4/8/16/64 (8 is the framework's default chunk count).  Because
+that ratio mixes a backend change with stacking, the section also
+records the like-for-like number (``stacking_vs_solo``): each float32
+backend stacked vs the *same* backend stepping every problem solo
+through the same sampling windows, at the 16x32 (n=9 Table-1) and
+128x512 (n=16 Fig-4) core-COP shapes.  Every stacked trajectory must
+be bit-identical to its solo run.
 
 Writes ``BENCH_kernels.json`` at the repo root with iterations/second
 per variant and speedups vs the baselines, and checks that the fast
@@ -31,12 +34,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import REPO_ROOT, write_bench_json
-from repro.ising.kernels import (
-    BlockBatch,
-    BlockMember,
-    available_backends,
-    make_kernel,
-)
+from repro.core.batch import advance_window, stack_states
+from repro.ising.kernels import available_backends, make_kernel
 from repro.ising.kernels.native import native_engine
 from repro.ising.schedules import LinearPump
 
@@ -177,7 +176,7 @@ def test_kernel_backend_throughput(benchmark, instance):
 
 # -- batched section ----------------------------------------------------
 
-BATCH_SIZES = (1, 4, 16, 64)
+BATCH_SIZES = (1, 4, 8, 16, 64)
 BATCH_ITERATIONS = 100
 BATCH_REPLICAS = 4  # the framework default (CoreSolverConfig.n_replicas)
 SAMPLE_EVERY = 20   # the framework default sampling cadence
@@ -190,8 +189,8 @@ STACK_REPEATS = 5
 
 
 def _batch_instance(batch_size, n_rows=N_ROWS, n_cols=N_COLS):
-    """``batch_size`` independent single-problem members, as the fused
-    service path would prepare them (one member per job sweep)."""
+    """``batch_size`` independent single-problem sweeps, as a component
+    split into ``batch_size`` one-partition chunks prepares them."""
     rng = np.random.default_rng(9000 + batch_size)
     problems = []
     for _ in range(batch_size):
@@ -206,10 +205,10 @@ def _batch_instance(batch_size, n_rows=N_ROWS, n_cols=N_COLS):
 
 
 def _per_problem_numpy32(problems, pump):
-    """Baseline: each problem stepped alone by the numpy32 kernel —
-    what ``batch_jobs=1`` service workers do per sweep.  Kernels and
-    states are built outside the timed region; only stepping is timed
-    (one-time setup is amortized over a real job's full run)."""
+    """Baseline: each problem stepped alone by the numpy32 kernel.
+    Kernels and states are built outside the timed region; only
+    stepping is timed (one-time setup is amortized over a real job's
+    full run)."""
     kernels = [
         make_kernel(weights, backend="numpy32")
         for weights, _, _, _ in problems
@@ -235,51 +234,65 @@ def _per_problem_numpy32(problems, pump):
     return best, finals
 
 
-def _batched_blockbatch(
+def _windowed(
     problems,
     pump,
     backend,
-    strategy="auto",
+    stacked=True,
     n_iterations=BATCH_ITERATIONS,
     repeats=BATCH_REPEATS,
 ):
-    """Fused path: one BlockBatch advanced in sampling windows.
-    Packing happens outside the timed region (the service packs once
-    per fused round); only window advancement + pull is timed.
-    ``strategy="solo"`` steps every problem alone through the same
-    windows — the like-for-like baseline for stacking."""
-    members = []
-    for weights, c0, x0, y0 in problems:
+    """Advance the problems in sampling windows, stacked or solo.
+
+    Stacked: one kernel over every problem, built by ``stack_states``.
+    Solo (``stacked=False``): each problem stepped alone by its own
+    kernel through the same windows — the like-for-like baseline for
+    stacking.  Kernels and states are built outside the timed region;
+    only window advancement is timed.  Returns the best time and each
+    problem's final positions."""
+    kernels, starts = [], []
+    for weights, _, x0, y0 in problems:
         kernel = make_kernel(weights, backend=backend)
-        x, y = kernel.prepare_state(x0.copy(), y0.copy())
-        members.append(BlockMember(kernel, weights, x, y, c0))
-    batch = BlockBatch(members, strategy=strategy)
-    starts = [
-        (np.asarray(m.x).copy(), np.asarray(m.y).copy())
-        for m in members
-    ]
+        kernels.append(kernel)
+        starts.append(kernel.prepare_state(x0.copy(), y0.copy()))
+    c0s = [c0 for _, c0, _, _ in problems]
+    if stacked:
+        steppers = [stack_states(
+            backend,
+            [weights for weights, _, _, _ in problems],
+            [x for x, _ in starts],
+            [y for _, y in starts],
+            c0s,
+        )]
+    else:
+        steppers = [
+            (kernel, x, y, c0)
+            for kernel, (x, y), c0 in zip(kernels, starts, c0s)
+        ]
+    initial = [(x.copy(), y.copy()) for _, x, y, _ in steppers]
 
     best, finals = np.inf, None
     for _ in range(repeats):
-        for member, (x0, y0) in zip(members, starts):
-            np.asarray(member.x)[...] = x0
-            np.asarray(member.y)[...] = y0
+        for (_, x, y, _), (x0, y0) in zip(steppers, initial):
+            x[...] = x0
+            y[...] = y0
         t0 = time.perf_counter()
         iteration = 0
         while iteration < n_iterations:
             width = min(SAMPLE_EVERY, n_iterations - iteration)
             a_ts = [pump(iteration + 1 + j) for j in range(width)]
-            batch.advance(a_ts, DT, A0)
+            for kernel, x, y, c0 in steppers:
+                advance_window(kernel, x, y, a_ts, DT, A0, c0)
             iteration += width
-            batch.pull()  # the host-side sampling boundary
         elapsed = time.perf_counter() - t0
         if elapsed < best:
             best = elapsed
-            finals = [np.asarray(m.x).copy() for m in members]
+            packed = np.concatenate([x for _, x, _, _ in steppers])
+            finals = np.split(packed, len(problems))
     return best, finals
 
 
-def test_batched_blockbatch_throughput(benchmark):
+def test_batched_stacking_throughput(benchmark):
     float32_backend = (
         "native32"
         if "native32" in available_backends()
@@ -298,12 +311,12 @@ def test_batched_blockbatch_throughput(benchmark):
                 problems = _batch_instance(batch_size, n_rows, n_cols)
                 rows[str(batch_size)] = {}
                 for backend in stack_backends:
-                    solo_s, solo_finals = _batched_blockbatch(
-                        problems, stack_pump, backend, "solo",
+                    solo_s, solo_finals = _windowed(
+                        problems, stack_pump, backend, False,
                         STACK_ITERATIONS, STACK_REPEATS,
                     )
-                    stacked_s, stacked_finals = _batched_blockbatch(
-                        problems, stack_pump, backend, "auto",
+                    stacked_s, stacked_finals = _windowed(
+                        problems, stack_pump, backend, True,
                         STACK_ITERATIONS, STACK_REPEATS,
                     )
                     problem_iters = batch_size * STACK_ITERATIONS
@@ -330,14 +343,14 @@ def test_batched_blockbatch_throughput(benchmark):
         for batch_size in BATCH_SIZES:
             problems = _batch_instance(batch_size)
             base_s, base_finals = _per_problem_numpy32(problems, pump)
-            fused_s, fused_finals = _batched_blockbatch(
+            stacked_s, stacked_finals = _windowed(
                 problems, pump, float32_backend
             )
             agreement = float(
                 np.mean(
                     [
                         np.sign(f) == np.sign(b)
-                        for f, b in zip(fused_finals, base_finals)
+                        for f, b in zip(stacked_finals, base_finals)
                     ]
                 )
             )
@@ -346,8 +359,8 @@ def test_batched_blockbatch_throughput(benchmark):
                 "per_problem_numpy32_iters_per_second": (
                     problem_iters / base_s
                 ),
-                "batched_iters_per_second": problem_iters / fused_s,
-                "speedup_vs_per_problem_numpy32": base_s / fused_s,
+                "batched_iters_per_second": problem_iters / stacked_s,
+                "speedup_vs_per_problem_numpy32": base_s / stacked_s,
                 "sign_agreement": agreement,
             }
         return section, stacking_vs_solo()
@@ -397,9 +410,16 @@ def test_batched_blockbatch_throughput(benchmark):
                     f"bit-identical {row['bit_identical_to_solo']}"
                 )
 
+    for shape, block in shapes.items():
+        for batch_size, by_backend in block["batch_sizes"].items():
+            for backend, row in by_backend.items():
+                # stacking keeps every slice's arithmetic
+                assert row["bit_identical_to_solo"], (shape, batch_size,
+                                                      backend)
+
     for batch_size in BATCH_SIZES:
         row = section[str(batch_size)]
-        # the fused trajectories decode to (near-)identical spins
+        # the stacked trajectories decode to (near-)identical spins
         assert row["sign_agreement"] >= 0.99
         if batch_size >= 16 and float32_backend == "native32":
             # the ISSUE's acceptance bar: >= 3x at batch >= 16

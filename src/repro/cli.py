@@ -321,11 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shards (fault domains with per-shard "
                             "circuit breakers; default: the directory's "
                             "existing layout, or a single store)")
-    serve.add_argument("--batch-jobs", type=int, default=1, metavar="B",
-                       help="jobs each worker claims and advances "
-                            "together per loop, fusing compatible "
-                            "batched sweeps into shared kernel passes "
-                            "(default: 1, no fusion)")
     serve.add_argument("--forever", action="store_true",
                        help="keep serving after the queue drains "
                             "(default: drain and exit)")
@@ -776,8 +771,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     service = DecompositionService(
         args.service_dir, n_workers=args.workers, policy=policy,
-        checkpoint_every=checkpoint_every, batch_jobs=args.batch_jobs,
-        shards=args.shards,
+        checkpoint_every=checkpoint_every, shards=args.shards,
     )
     supervisor = None
     if args.isolated_workers:

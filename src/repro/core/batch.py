@@ -13,21 +13,18 @@ hardware advantage.  The stepping backend follows
 ``numpy32`` / ``native32``); decoded spins are always scored in
 float64.
 
-The solve is split into *prepare* and *run* so independent sweeps can
-be fused: :func:`prepare_sweep` builds a :class:`PreparedSweep` (weight
-stack, kernel state, RNG-consumed initialization, objective
-bookkeeping) without advancing it, and :func:`run_prepared_sweeps`
-drives any number of prepared sweeps together — schedule-compatible
-sweeps are packed by the :class:`~repro.ising.kernels.blockbatch
-.BlockBatch` planner into batched kernel windows that break exactly at
-each ``sample_every`` boundary, so every sweep sees the same
+The solve is split into *prepare* and *run*: :func:`prepare_sweep`
+builds a :class:`PreparedSweep` (weight stack, kernel state,
+RNG-consumed initialization, objective bookkeeping) without advancing
+it, and :func:`run_prepared_sweeps` drives the chunk sweeps of one
+component together in iteration windows that break exactly at each
+``sample_every`` boundary, so every sweep sees the same
 step/sample/intervention sequence it would have seen alone.  Float64
-sweeps are replayed solo inside the batch (bit-identical by
-construction); float32 sweeps are stacked under the tolerance contract.
+sweeps step one by one (bit-identical by construction); two or more
+float32 sweeps step as one stacked kernel (:func:`stack_states`),
+whose per-slice arithmetic is unchanged.
 :class:`BatchedCoreCOPSolver.solve_candidates` is exactly
-``prepare → run → finalize`` for a single sweep, and the framework and
-the service batch scheduler feed multiple prepared sweeps to one
-:func:`run_prepared_sweeps` call.
+``prepare → run → finalize`` for a single sweep.
 
 The batched path integrates for a fixed number of iterations (a global
 dynamic stop across a batch would couple unrelated instances), applies
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +49,7 @@ from repro.boolean.truth_table import TruthTable
 from repro.core.config import CoreSolverConfig
 from repro.core.ising_formulation import WeightCache, linear_error_terms
 from repro.errors import DimensionError
-from repro.ising.kernels import BlockBatch, BlockMember, make_kernel
+from repro.ising.kernels import BipartiteSBKernel, make_kernel
 from repro.ising.schedules import LinearPump
 from repro.obs.probe import make_probe
 from repro.obs.tracing import get_tracer
@@ -61,8 +58,10 @@ __all__ = [
     "BatchedCoreCOPSolver",
     "BatchedSolution",
     "PreparedSweep",
+    "advance_window",
     "prepare_sweep",
     "run_prepared_sweeps",
+    "stack_states",
 ]
 
 
@@ -145,8 +144,8 @@ class PreparedSweep:
     Construction (via :func:`prepare_sweep`) consumes the sweep's RNG
     exactly as the monolithic solve did — weight build, ``c0`` choice,
     uniform ``x`` then ``y`` draws, symmetry-breaking overwrite, kernel
-    ``prepare_state`` — so preparing a sweep early (to fuse it with
-    others) is invisible to the search semantics.  After
+    ``prepare_state`` — so preparing a component's sweeps before
+    advancing any of them is invisible to the search semantics.  After
     :func:`run_prepared_sweeps` returns, :meth:`finalize` decodes the
     per-partition best settings.
     """
@@ -183,25 +182,6 @@ class PreparedSweep:
                 backend=self.kernel.name,
                 dtype=str(np.dtype(self.kernel.dtype)),
             )
-
-    # -- fusion compatibility ------------------------------------------
-
-    @property
-    def schedule_key(self) -> Tuple:
-        """Sweeps sharing this key may be advanced in lockstep."""
-        cfg = self.config
-        return (
-            cfg.max_iterations,
-            cfg.sample_every,
-            cfg.dt,
-            cfg.a0,
-            cfg.resolved_ramp_iterations,
-        )
-
-    def block_member(self) -> BlockMember:
-        return BlockMember(
-            self.kernel, self.dynamics.weights, self.x, self.y, self.c0
-        )
 
     # -- sampling ------------------------------------------------------
 
@@ -362,77 +342,132 @@ def prepare_sweep(
     return PreparedSweep(config, component, partitions, dynamics, x, y, c0)
 
 
-def run_prepared_sweeps(
-    sweeps: Sequence[PreparedSweep],
-    strategy: str = "auto",
-) -> None:
-    """Advance prepared sweeps to completion, batching where compatible.
+def advance_window(kernel, x, y, a_ts, dt, a0, c0) -> None:
+    """Advance one kernel state over a window of pump values.
 
-    Sweeps are grouped by :attr:`PreparedSweep.schedule_key`; each
-    group becomes one :class:`~repro.ising.kernels.blockbatch
-    .BlockBatch` advanced in iteration windows that break exactly at
+    Kernels with a compiled ``run_tile`` (``native32``) take the whole
+    window in one call; the others step once per pump value.
+    """
+    run_tile = getattr(kernel, "run_tile", None)
+    if run_tile is not None:
+        run_tile(x, y, a_ts, dt, a0, c0)
+        return
+    for a_t in a_ts:
+        kernel.step(x, y, a_t, dt, a0, c0)
+
+
+def stack_states(
+    backend: str,
+    weights: Sequence[np.ndarray],
+    xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    c0s: Sequence[float],
+) -> Tuple[BipartiteSBKernel, np.ndarray, np.ndarray, np.ndarray]:
+    """One kernel over same-shape problems concatenated along axis 0.
+
+    ``weights``, ``xs`` and ``ys`` hold each sweep's ``(P, r, c)``
+    weight stack and prepared ``(P, R, N)`` states, ``c0s`` each
+    sweep's coupling scale.  Returns ``(kernel, x, y, c0)``: a
+    ``backend`` kernel over the concatenated weights, contiguous packed
+    copies of the states and the per-problem ``c0`` vector.  The
+    broadcasted matmul and the vector-``c0`` multiply perform the same
+    IEEE operations per slice, so each slice evolves exactly as its
+    sweep would alone.
+    """
+    kernel = make_kernel(np.concatenate(weights, axis=0), backend=backend)
+    c0 = np.concatenate(
+        [np.full(len(w), float(c)) for w, c in zip(weights, c0s)]
+    )
+    x = np.ascontiguousarray(np.concatenate(xs, axis=0))
+    y = np.ascontiguousarray(np.concatenate(ys, axis=0))
+    return kernel, x, y, c0
+
+
+def run_prepared_sweeps(sweeps: Sequence[PreparedSweep]) -> None:
+    """Advance the prepared chunk sweeps of one component to completion.
+
+    The sweeps must share one solver config, backend and ``(r, c)``
+    shape; anything else raises :class:`~repro.errors.DimensionError`.
+    They advance in iteration windows that break exactly at
     ``sample_every`` multiples, with every sweep's sampling and
     intervention hooks firing at the same iterations as a solo run.
-    Float64 sweeps replay their exact solo operation sequence inside
-    the batch (bit-identical end to end); float32 sweeps are packed
-    under the tolerance contract.  Groups run sequentially in the order
-    of first appearance — determinism does not depend on the grouping.
+    Two or more float32 sweeps step as one stacked kernel
+    (:func:`stack_states`), each sweep holding views of its slice;
+    float64 sweeps, or a lone sweep, step one by one, so their results
+    are bit-identical to advancing each sweep through its own call.
     """
-    tracer = get_tracer()
-    groups: Dict[Tuple, List[PreparedSweep]] = {}
-    for sweep in sweeps:
-        groups.setdefault(sweep.schedule_key, []).append(sweep)
+    if not sweeps:
+        raise DimensionError("need at least one prepared sweep")
+    lead = sweeps[0]
+    cfg = lead.config
 
-    for key, group in groups.items():
-        max_iterations, sample_every, dt, a0, ramp = key
-        pump = LinearPump(a0, ramp)
-        members = [sweep.block_member() for sweep in group]
-        batch = BlockBatch(members, strategy=strategy)
-        # packing may have replaced member states with packed views
-        for sweep, member in zip(group, members):
-            sweep.x, sweep.y = member.x, member.y
-        stats = batch.describe()
-        lead = group[0]
-        with tracer.span(
-            "sb_solve",
-            category="stage",
-            component=(
-                lead.component if len(group) == 1 else None
-            ),
-            n_sweeps=len(group),
-            n_problems=stats["n_problems"],
-            n_replicas=lead.x.shape[-2],
-            n_spins=lead.dynamics.n_spins,
-            backend=lead.kernel.name,
-            batched=True,
-            batch_strategy=stats["strategy"],
-            n_blocks=stats["n_blocks"],
-        ):
-            iteration = 0
-            while iteration < max_iterations:
-                width = min(
-                    sample_every - iteration % sample_every,
-                    max_iterations - iteration,
-                )
-                a_ts = [
-                    pump(iteration + 1 + j) for j in range(width)
-                ]
-                window_start = time.perf_counter()
-                batch.advance(a_ts, dt, a0)
-                window_seconds = time.perf_counter() - window_start
-                iteration += width
-                share = window_seconds / len(group)
-                for sweep in group:
-                    if sweep.probe is not None:
-                        sweep.probe.on_step(share)
-                if iteration % sample_every == 0:
-                    batch.pull()
-                    for sweep in group:
-                        sweep.sample_point(iteration)
-                    batch.push()
-            batch.pull()
-            for sweep in group:
-                sweep.final_sample()
+    def signature(sweep: PreparedSweep) -> Tuple:
+        dynamics = sweep.dynamics
+        return (
+            sweep.config, sweep.kernel.name,
+            dynamics.n_rows, dynamics.n_cols,
+        )
+
+    if any(signature(sweep) != signature(lead) for sweep in sweeps):
+        raise DimensionError(
+            "run_prepared_sweeps needs sweeps sharing one solver config, "
+            "backend and (r, c) shape"
+        )
+    if len(sweeps) > 1 and lead.kernel.dtype == np.float32:
+        kernel, x, y, c0 = stack_states(
+            lead.kernel.name,
+            [sweep.dynamics.weights for sweep in sweeps],
+            [sweep.x for sweep in sweeps],
+            [sweep.y for sweep in sweeps],
+            [sweep.c0 for sweep in sweeps],
+        )
+        # hand each sweep a view of its slice so sampling/intervention
+        # writes land in the packed arrays with no copies
+        start = 0
+        for sweep in sweeps:
+            stop = start + sweep.n_problems
+            sweep.x, sweep.y = x[start:stop], y[start:stop]
+            start = stop
+        steppers = [(kernel, x, y, c0)]
+    else:
+        steppers = [
+            (sweep.kernel, sweep.x, sweep.y, sweep.c0) for sweep in sweeps
+        ]
+
+    pump = LinearPump(cfg.a0, cfg.resolved_ramp_iterations)
+    max_iterations, sample_every = cfg.max_iterations, cfg.sample_every
+    with get_tracer().span(
+        "sb_solve",
+        category="stage",
+        component=lead.component,
+        n_sweeps=len(sweeps),
+        n_problems=sum(sweep.n_problems for sweep in sweeps),
+        n_replicas=lead.x.shape[-2],
+        n_spins=lead.dynamics.n_spins,
+        backend=lead.kernel.name,
+        batched=True,
+    ):
+        iteration = 0
+        while iteration < max_iterations:
+            width = min(
+                sample_every - iteration % sample_every,
+                max_iterations - iteration,
+            )
+            a_ts = [pump(iteration + 1 + j) for j in range(width)]
+            window_start = time.perf_counter()
+            for kernel, x, y, c0 in steppers:
+                advance_window(kernel, x, y, a_ts, cfg.dt, cfg.a0, c0)
+            window_seconds = time.perf_counter() - window_start
+            iteration += width
+            share = window_seconds / len(sweeps)
+            for sweep in sweeps:
+                if sweep.probe is not None:
+                    sweep.probe.on_step(share)
+            if iteration % sample_every == 0:
+                for sweep in sweeps:
+                    sweep.sample_point(iteration)
+        for sweep in sweeps:
+            sweep.final_sample()
 
 
 class BatchedCoreCOPSolver:

@@ -265,9 +265,10 @@ class FrameworkConfig:
         component's candidate partitions are split into chunks (see
         ``sweep_chunk_size``) solved as independent core-COP batches;
         with ``n_workers > 1`` the chunks fan out over a
-        ``ProcessPoolExecutor``.  Chunking and per-chunk RNG spawning
-        are *independent of the worker count*, so any ``n_workers``
-        under one seed selects identical partitions and settings.
+        ``ProcessPoolExecutor`` of ``min(n_workers, os.cpu_count())``
+        processes.  Chunking and per-chunk RNG spawning are
+        *independent of the worker count*, so any ``n_workers`` under
+        one seed selects identical partitions and settings.
     sweep_chunk_size:
         Partitions per sweep chunk.  ``None`` auto-splits into
         :data:`SWEEP_AUTO_CHUNKS` equal chunks (fewer when ``P`` is

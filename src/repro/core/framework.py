@@ -36,6 +36,7 @@ value selects bit-identical partitions and settings under one seed.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -277,21 +278,12 @@ class IsingDecomposer:
     True
     """
 
-    def __init__(
-        self,
-        config: Optional[FrameworkConfig] = None,
-        sweep_gate=None,
-    ) -> None:
+    def __init__(self, config: Optional[FrameworkConfig] = None) -> None:
         self.config = config if config is not None else FrameworkConfig()
         self._solver = CoreCOPSolver(self.config.solver)
         # run-level weight-term memoization; refreshed per decompose()
         self._cache = WeightCache()
         self._executor: Optional[ProcessPoolExecutor] = None
-        # optional cross-job fusion handle (a GateParticipant from
-        # repro.core.fusion, or anything with ``submit(sweeps)``); used
-        # only by the inline batched path — pool chunks run in separate
-        # processes and cannot share kernel passes
-        self._sweep_gate = sweep_gate
 
     # ------------------------------------------------------------------
 
@@ -399,11 +391,9 @@ class IsingDecomposer:
                 # inline batched path: prepare every chunk's sweep
                 # (consuming each chunk RNG exactly as a chunk-by-chunk
                 # run would), then advance the whole component in one
-                # fused pass — optionally rendezvousing with other
-                # jobs' sweeps through the fusion gate.  Chunk results
-                # are bit-identical to sequential chunk solves (float64
-                # sweeps replay solo inside the batch; float32 packing
-                # is tolerance-contract).
+                # pass.  Chunk results are bit-identical to sequential
+                # chunk solves (float64 sweeps step one by one; stacked
+                # float32 slices keep their per-slice arithmetic).
                 sweeps = [
                     prepare_sweep(
                         cfg.solver, exact, approx, component, chunk,
@@ -411,10 +401,7 @@ class IsingDecomposer:
                     )
                     for chunk, chunk_rng in zip(chunks, chunk_rngs)
                 ]
-                if self._sweep_gate is not None:
-                    self._sweep_gate.submit(sweeps)
-                else:
-                    run_prepared_sweeps(sweeps)
+                run_prepared_sweeps(sweeps)
                 results = []
                 for sweep in sweeps:
                     solutions = sweep.finalize()
@@ -565,8 +552,11 @@ class IsingDecomposer:
         self._cache = WeightCache()
         executor: Optional[ProcessPoolExecutor] = None
         if self.config.n_workers > 1:
+            # n_workers only schedules chunks, so capping the pool at
+            # the core count changes no result — it keeps a wire spec
+            # asking for thousands of workers from forking thousands
             executor = ProcessPoolExecutor(
-                max_workers=self.config.n_workers
+                max_workers=min(self.config.n_workers, os.cpu_count() or 1)
             )
         self._executor = executor
         tracer = get_tracer()

@@ -17,8 +17,8 @@ numpy32    float32 tolerance contract, float64 scoring
 native32   float32 runtime-compiled C tile engine
 ========== ======= ==============================================
 
-:mod:`repro.ising.kernels.blockbatch` packs compatible prepared sweeps
-into batched kernel calls (the ``BlockBatch`` planner).
+Stacking a component's chunk sweeps into one kernel call lives in
+:mod:`repro.core.batch`.
 """
 
 from repro.ising.kernels.base import (
@@ -38,7 +38,6 @@ from repro.ising.kernels.base import (
 from repro.ising.kernels.numpy_backend import NumPyBipartiteKernel
 from repro.ising.kernels import native  # noqa: F401  (registration)
 from repro.ising.kernels.native import NATIVE_PROBED_AVAILABLE
-from repro.ising.kernels.blockbatch import Block, BlockBatch, BlockMember
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -46,9 +45,6 @@ __all__ = [
     "NATIVE_PROBED_AVAILABLE",
     "BackendInfo",
     "BipartiteSBKernel",
-    "Block",
-    "BlockBatch",
-    "BlockMember",
     "NumPyBipartiteKernel",
     "available_backends",
     "backend_info",

@@ -33,7 +33,7 @@ from repro.obs.exporters import (
     write_jsonl,
     write_trace,
 )
-from repro.obs.logconfig import configure_logging, get_logger, warn_once
+from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.metrics import (
     STOP_ITERATION_BUCKETS,
     Counter,
@@ -98,7 +98,6 @@ __all__ = [
     # logging
     "get_logger",
     "configure_logging",
-    "warn_once",
 ]
 
 

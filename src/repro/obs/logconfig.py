@@ -22,14 +22,12 @@ repeated CLI invocations in one process never stack handlers.
 from __future__ import annotations
 
 import logging
-import threading
 from typing import Optional, TextIO
 
 __all__ = [
     "ROOT_LOGGER_NAME",
     "get_logger",
     "configure_logging",
-    "warn_once",
 ]
 
 ROOT_LOGGER_NAME = "repro"
@@ -48,37 +46,6 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     if name.startswith(ROOT_LOGGER_NAME + "."):
         return logging.getLogger(name)
     return logging.getLogger(f"{ROOT_LOGGER_NAME}.{name}")
-
-
-# keys already warned through warn_once (process-global, thread-safe)
-_WARNED_KEYS: set = set()
-_WARNED_LOCK = threading.Lock()
-
-
-def warn_once(
-    logger: logging.Logger, key: str, message: str, *args
-) -> bool:
-    """Emit ``logger.warning(message, *args)`` once per ``key``.
-
-    For hot paths that would otherwise repeat the same diagnosis every
-    iteration (e.g. the worker pool rejecting the same job shape from
-    sweep fusion on every batch).  Returns ``True`` when the warning
-    was actually emitted, ``False`` when ``key`` had already fired —
-    callers pairing the log with a metric should count unconditionally
-    and log through this.
-    """
-    with _WARNED_LOCK:
-        if key in _WARNED_KEYS:
-            return False
-        _WARNED_KEYS.add(key)
-    logger.warning(message, *args)
-    return True
-
-
-def reset_warn_once() -> None:
-    """Forget all warned keys (test isolation helper)."""
-    with _WARNED_LOCK:
-        _WARNED_KEYS.clear()
 
 
 def verbosity_to_level(verbosity: int) -> int:

@@ -59,7 +59,6 @@ class DecompositionService:
         policy: Optional[SchedulerPolicy] = None,
         decompose_fn: Optional[DecomposeFn] = None,
         checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
-        batch_jobs: int = 1,
         shards: Optional[int] = None,
     ) -> None:
         self.root = Path(root)
@@ -74,14 +73,8 @@ class DecompositionService:
         self.executor = JobExecutor(
             self.artifacts, decompose_fn, checkpoint_every=checkpoint_every
         )
-        # batch_jobs > 1: each worker claims up to that many jobs per
-        # loop and advances them together, fusing compatible batched
-        # sweeps into shared kernel passes (see WorkerPool docs)
         self.pool = WorkerPool(
-            self.scheduler,
-            self.executor,
-            n_workers=n_workers,
-            batch_size=batch_jobs,
+            self.scheduler, self.executor, n_workers=n_workers
         )
 
     # -- submission ----------------------------------------------------

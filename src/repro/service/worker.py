@@ -47,7 +47,6 @@ process (supervisor mode only).
 
 from __future__ import annotations
 
-import inspect
 import os
 import sqlite3
 import threading
@@ -59,14 +58,13 @@ import numpy as np
 
 from repro.core.checkpoint import DecomposeCheckpoint
 from repro.core.framework import IsingDecomposer
-from repro.core.fusion import SweepFusionGate
 from repro.errors import (
     OperationCancelled,
     ReproError,
     ServiceError,
     ShardUnavailableError,
 )
-from repro.obs.logconfig import get_logger, warn_once
+from repro.obs.logconfig import get_logger
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import get_tracer
 from repro.resilience import InjectedFault, active_fault_plan
@@ -86,11 +84,10 @@ __all__ = [
 ]
 
 #: Signature of a pluggable decompose function: ``(spec, table,
-#: progress, should_cancel) -> DecompositionResult``, optionally also
-#: accepting ``resume=`` / ``checkpoint_hook=`` keyword arguments (the
-#: executor inspects the signature and only passes what the function
-#: takes, so pre-checkpoint test wrappers keep working).  The default
-#: runs the real framework.
+#: progress, should_cancel, resume=, checkpoint_hook=) ->
+#: DecompositionResult``; the executor always passes both keywords
+#: (``None`` when checkpointing is off).  The default runs the real
+#: framework.
 DecomposeFn = Callable[..., object]
 
 #: default checkpoint cadence: persist after every component
@@ -104,61 +101,13 @@ def _default_decompose(
     should_cancel,
     resume=None,
     checkpoint_hook=None,
-    sweep_gate=None,
 ):
-    return IsingDecomposer(spec.config, sweep_gate=sweep_gate).decompose(
+    return IsingDecomposer(spec.config).decompose(
         table,
         progress=progress,
         should_cancel=should_cancel,
         resume=resume,
         checkpoint_hook=checkpoint_hook,
-    )
-
-
-def _fusion_rejection(spec: JobSpec) -> Optional[str]:
-    """Why ``spec`` can never join a fused sweep group (``None`` = it can).
-
-    The reasons are stable identifiers — they feed the
-    ``fusion_rejected_total`` metric and the warn-once batch log, so
-    operators can see *why* a batch ran unfused instead of silently
-    observing no fusion:
-
-    * ``"ising-problem"`` — raw Ising solve jobs have no candidate
-      sweep to fuse;
-    * ``"config-not-batched"`` — the spec runs the sequential
-      per-candidate path (``FrameworkConfig.batched`` is off);
-    * ``"multiprocess-sweep"`` — the sweep already fans out over
-      processes (``n_workers > 1``), which is incompatible with
-      sharing an in-process kernel window.
-    """
-    if spec.ising is not None:
-        return "ising-problem"
-    cfg = spec.config
-    if not cfg.batched:
-        return "config-not-batched"
-    if cfg.n_workers > 1:
-        return "multiprocess-sweep"
-    return None
-
-
-def _fusion_key(spec: JobSpec):
-    """Grouping key for cross-job sweep fusion (``None`` = not fusable).
-
-    Two jobs may share fused kernel windows when both run the inline
-    batched path and their solvers advance on the same iteration
-    schedule; everything else about the jobs (tables, shapes, seeds,
-    backends) may differ — the BlockBatch planner handles shape/backend
-    packing, and float64 sweeps replay solo inside the batch.
-    """
-    if _fusion_rejection(spec) is not None:
-        return None
-    solver = spec.config.solver
-    return (
-        solver.max_iterations,
-        solver.sample_every,
-        solver.dt,
-        solver.a0,
-        solver.resolved_ramp_iterations,
     )
 
 
@@ -203,20 +152,6 @@ class JobExecutor:
         self._decompose = (
             decompose_fn if decompose_fn is not None else _default_decompose
         )
-        self._decompose_kwargs = self._supported_kwargs(self._decompose)
-
-    @staticmethod
-    def _supported_kwargs(fn: Callable) -> frozenset:
-        """Which optional kwargs ``fn`` accepts (legacy fns: none)."""
-        optional = {"resume", "checkpoint_hook", "sweep_gate"}
-        try:
-            parameters = inspect.signature(fn).parameters.values()
-        except (TypeError, ValueError):
-            return frozenset()
-        names = {p.name for p in parameters}
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
-            names |= optional
-        return frozenset(names & optional)
 
     def _load_checkpoint(
         self, job: JobRecord, table
@@ -246,7 +181,6 @@ class JobExecutor:
         job: JobRecord,
         *,
         heartbeat: Optional[Callable[[], None]] = None,
-        sweep_gate=None,
     ) -> ExecutionOutcome:
         """Run ``job`` to an outcome (raises on crash/timeout).
 
@@ -312,7 +246,7 @@ class JobExecutor:
             else self.checkpoint_every
         )
         resume: Optional[DecomposeCheckpoint] = None
-        if cadence is not None and "resume" in self._decompose_kwargs:
+        if cadence is not None:
             resume = self._load_checkpoint(job, table)
             if resume is not None:
                 logger.info(
@@ -353,17 +287,6 @@ class JobExecutor:
                     f"injected worker crash after checkpoint ({detail})"
                 )
 
-        kwargs = {}
-        if "resume" in self._decompose_kwargs:
-            kwargs["resume"] = resume
-        if cadence is not None and (
-            "checkpoint_hook" in self._decompose_kwargs
-        ):
-            kwargs["checkpoint_hook"] = checkpoint_hook
-        if sweep_gate is not None and (
-            "sweep_gate" in self._decompose_kwargs
-        ):
-            kwargs["sweep_gate"] = sweep_gate
         with tracer.span(
             "job_decompose",
             category="service",
@@ -372,7 +295,11 @@ class JobExecutor:
             resumed=resume is not None,
         ):
             result = self._decompose(
-                spec, table, progress, should_cancel, **kwargs
+                spec, table, progress, should_cancel,
+                resume=resume,
+                checkpoint_hook=(
+                    checkpoint_hook if cadence is not None else None
+                ),
             )
         runtime = time.monotonic() - start
         meta = {
@@ -475,20 +402,8 @@ class JobExecutor:
 class WorkerPool:
     """N looping worker threads draining one scheduler's queue.
 
-    With ``batch_size > 1`` each loop iteration claims up to
-    ``batch_size`` runnable jobs at once and advances them *together*:
-
-    * duplicate submissions (same artifact key) are deferred behind the
-      first job with that key and resolved from the artifact cache
-      afterwards, preserving single-flight dedup;
-    * distinct jobs run concurrently in threads, each with its own
-      lease heartbeat, per-job checkpoints, retry accounting, and
-      quarantine — the batch changes scheduling only, never durable
-      semantics;
-    * jobs whose specs share a fusion key (inline batched path, same
-      iteration schedule — see ``_fusion_key``) additionally share a
-      :class:`~repro.core.fusion.SweepFusionGate`, so their candidate
-      sweeps advance inside common fused kernel passes.
+    Each loop iteration claims one runnable job and runs it to an
+    outcome, renewing the job's lease on every progress event.
     """
 
     def __init__(
@@ -497,21 +412,13 @@ class WorkerPool:
         executor: JobExecutor,
         n_workers: int = 1,
         name: str = "svc",
-        batch_size: int = 1,
-        fusion_timeout: float = 30.0,
     ) -> None:
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
-        if batch_size <= 0:
-            raise ValueError(
-                f"batch_size must be positive, got {batch_size}"
-            )
         self.scheduler = scheduler
         self.executor = executor
         self.n_workers = n_workers
         self.name = name
-        self.batch_size = batch_size
-        self.fusion_timeout = fusion_timeout
         self._stop = threading.Event()
         self._threads: list = []
 
@@ -554,9 +461,7 @@ class WorkerPool:
                 help="completion-path transitions lost to recovery races",
             ).inc()
 
-    def _run_one(
-        self, worker_name: str, job: JobRecord, participant=None
-    ) -> None:
+    def _run_one(self, worker_name: str, job: JobRecord) -> None:
         def heartbeat() -> None:
             self.scheduler.heartbeat(job)
 
@@ -567,18 +472,9 @@ class WorkerPool:
             job_id=job.id,
             worker=worker_name,
             attempt=job.attempts,
-            fused=participant is not None,
         ) as span:
             try:
-                try:
-                    outcome = self.executor.execute(
-                        job, heartbeat=heartbeat, sweep_gate=participant
-                    )
-                finally:
-                    # any exit (cache hit, crash, timeout, success)
-                    # must release fusion partners waiting on this job
-                    if participant is not None:
-                        participant.leave()
+                outcome = self.executor.execute(job, heartbeat=heartbeat)
             except OperationCancelled as exc:
                 logger.warning("job %s timed out: %s", job.id, exc)
                 span.set_args(outcome="timeout")
@@ -628,102 +524,6 @@ class WorkerPool:
                     job.id,
                 )
 
-    def _run_batch(self, worker_name: str, jobs: list) -> None:
-        """Advance one claimed batch: dedup, fuse, run, settle."""
-        if len(jobs) == 1:
-            self._run_one(worker_name, jobs[0])
-            return
-        wave: list = []
-        deferred: list = []
-        seen_keys: set = set()
-        for job in jobs:
-            if job.artifact_key in seen_keys:
-                deferred.append(job)
-            else:
-                seen_keys.add(job.artifact_key)
-                wave.append(job)
-        # one fusion gate per compatible group of two or more jobs;
-        # every job left out of a gate is *accounted for*, not silently
-        # skipped — the rejection reason feeds a metric and a warn-once
-        # log so an operator can see why a batch ran unfused
-        metrics = get_metrics()
-        participants: Dict[str, object] = {}
-        groups: Dict[tuple, list] = {}
-        rejections: Dict[str, int] = {}
-        for job in wave:
-            reason = _fusion_rejection(job.spec)
-            if reason is not None:
-                rejections[reason] = rejections.get(reason, 0) + 1
-                continue
-            groups.setdefault(_fusion_key(job.spec), []).append(job)
-        n_fused = 0
-        for members in groups.values():
-            if len(members) < 2:
-                # fusable alone, but no batch partner shares its
-                # iteration schedule — still a rejection to account for
-                rejections["no-compatible-schedule"] = (
-                    rejections.get("no-compatible-schedule", 0)
-                    + len(members)
-                )
-                continue
-            gate = SweepFusionGate(wait_timeout=self.fusion_timeout)
-            for job in members:
-                participants[job.id] = gate.participant(
-                    job.id,
-                    heartbeat=(
-                        lambda j=job: self.scheduler.heartbeat(j)
-                    ),
-                )
-            n_fused += len(members)
-        if rejections:
-            metrics.counter(
-                "fusion_rejected_total",
-                help="batched jobs excluded from cross-job sweep fusion",
-            ).inc(sum(rejections.values()))
-            for reason, count in sorted(rejections.items()):
-                warn_once(
-                    logger,
-                    f"fusion-rejected:{reason}",
-                    "cross-job sweep fusion excluded %d job(s) from a "
-                    "batch: %s (further exclusions for this reason are "
-                    "counted in fusion_rejected_total without logging)",
-                    count, reason,
-                )
-        with get_tracer().span(
-            "job_batch",
-            category="service",
-            worker=worker_name,
-            n_jobs=len(jobs),
-            n_parallel=len(wave),
-            n_deferred=len(deferred),
-            n_fused=n_fused,
-        ):
-            metrics.counter(
-                "service_job_batches_total",
-                help="multi-job batches advanced together",
-            ).inc()
-            metrics.counter(
-                "service_jobs_batched_total",
-                help="jobs claimed into multi-job batches",
-            ).inc(len(jobs))
-            threads = []
-            for job in wave:
-                thread = threading.Thread(
-                    target=self._run_one,
-                    args=(worker_name, job, participants.get(job.id)),
-                    name=f"{worker_name}:{job.id}",
-                    daemon=True,
-                )
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-            # duplicates run after the wave: the first job with their
-            # artifact key has persisted (or will retry); these resolve
-            # from the cache, keeping single-flight dedup intact
-            for job in deferred:
-                self._run_one(worker_name, job)
-
     def _loop(self, worker_name: str, drain: bool) -> None:
         poll = self.scheduler.policy.poll_interval_seconds
         while not self._stop.is_set():
@@ -753,18 +553,8 @@ class WorkerPool:
                 # backoff gates may hold queued jobs; keep polling
                 self._stop.wait(poll)
                 continue
-            jobs = [job]
-            if self.batch_size > 1:
-                try:
-                    while len(jobs) < self.batch_size:
-                        extra = self.scheduler.claim(worker_name)
-                        if extra is None:
-                            break
-                        jobs.append(extra)
-                except sqlite3.OperationalError:
-                    pass  # run what we have; the store is struggling
             try:
-                self._run_batch(worker_name, jobs)
+                self._run_one(worker_name, job)
             except sqlite3.OperationalError as exc:
                 # the *completion* transition hit store pressure; the
                 # job stays ``running`` and lease expiry will recover

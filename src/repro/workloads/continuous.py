@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from repro.boolean.truth_table import TruthTable
 from repro.errors import ConfigurationError
@@ -45,6 +44,14 @@ class ContinuousFunction:
     func: Callable[[np.ndarray], np.ndarray]
     domain: Tuple[float, float]
     output_range: Tuple[float, float]
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    # imported on first use: scipy.special costs a large share of
+    # ``import repro``, and only the erf workload needs it
+    from scipy.special import erf
+
+    return erf(x)
 
 
 def _denoise(x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from repro.core.config import (
     CoreSolverConfig,
     FrameworkConfig,
 )
+from repro.core import framework
 from repro.core.framework import IsingDecomposer, _split_chunks
 from repro.core.ising_formulation import (
     WeightCache,
@@ -91,6 +92,39 @@ class TestWorkerCountInvariance:
         first = IsingDecomposer(config).decompose(table)
         second = IsingDecomposer(config).decompose(table)
         _assert_identical_results(first, second)
+
+
+class TestPoolSize:
+    def test_pool_capped_at_core_count(self, table, monkeypatch):
+        """``n_workers`` far above the core count (a wire spec may ask
+        for 5000) sizes the pool at the core count, still takes the
+        pool path, and changes no result.  The recorder runs chunks
+        inline, so no process starts."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.maps = 0
+                pools.append(self)
+
+            def map(self, fn, payloads):
+                self.maps += 1
+                return map(fn, payloads)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(framework, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(framework.os, "cpu_count", lambda: 2)
+        config = _base_config(n_workers=5000, sweep_chunk_size=1)
+        result = IsingDecomposer(config).decompose(table)
+        assert [pool.max_workers for pool in pools] == [2]
+        assert pools[0].maps > 0
+        sequential = IsingDecomposer(
+            _base_config(sweep_chunk_size=1)
+        ).decompose(table)
+        _assert_identical_results(result, sequential)
 
 
 class TestChunking:

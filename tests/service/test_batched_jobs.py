@@ -1,26 +1,27 @@
-"""Service-level batch scheduling: ``batch_jobs > 1`` with sweep fusion.
+"""Service jobs whose config runs the framework's ``batched`` path.
 
-The acceptance bar: a worker that claims several jobs per loop and
-advances them through fused kernel windows must produce artifacts that
-are **bit-for-bit identical** (same artifact keys, same design
-documents) to a plain one-job-at-a-time service — including when a job
-crashes mid-batch and resumes from its checkpoint, and when a batch
-contains duplicate submissions (single-flight dedup).
+A ``batched=True`` job stacks its component's chunk sweeps inside one
+process (``repro.core.batch``).  Served by a worker it must produce a
+design **byte-identical** to a direct ``IsingDecomposer`` call with the
+same config, keep single-flight dedup through the artifact cache, and
+resume bit-identically from a checkpoint after a mid-run crash.
 """
 
 import threading
 
 import pytest
 
-from repro.core import CoreSolverConfig, FrameworkConfig
+from repro.core import CoreSolverConfig, FrameworkConfig, IsingDecomposer
 from repro.obs.metrics import get_metrics
 from repro.resilience import FaultPlan, FaultRule, fault_injection
+from repro.serialization import result_to_dict
 from repro.service import (
     DecompositionService,
     JobSpec,
     SchedulerPolicy,
 )
-from repro.service.worker import WorkerPool, _default_decompose, _fusion_key
+from repro.service.worker import _default_decompose
+from repro.workloads import build_workload
 
 FAST_POLICY = SchedulerPolicy(
     lease_seconds=30.0,
@@ -29,9 +30,7 @@ FAST_POLICY = SchedulerPolicy(
 )
 
 
-@pytest.fixture
-def fused_config():
-    """Batched inline solve — the fusable configuration."""
+def _batched_config(backend=None):
     return FrameworkConfig(
         mode="joint",
         free_size=2,
@@ -39,96 +38,52 @@ def fused_config():
         n_rounds=1,
         seed=3,
         batched=True,
-        solver=CoreSolverConfig(max_iterations=200, n_replicas=2),
+        solver=CoreSolverConfig(
+            max_iterations=200, n_replicas=2, backend=backend
+        ),
     )
 
 
-def _drain(tmp_path, specs, label, batch_jobs, **kwargs):
+@pytest.fixture
+def batched_config():
+    return _batched_config()
+
+
+def _drain(tmp_path, specs, label, **kwargs):
     service = DecompositionService(
-        tmp_path / label,
-        policy=FAST_POLICY,
-        batch_jobs=batch_jobs,
-        **kwargs,
+        tmp_path / label, policy=FAST_POLICY, **kwargs
     )
     jobs = service.submit_batch(specs)
     service.run_until_drained(timeout=300)
     return service, jobs
 
 
-class TestFusionKey:
-    def test_unbatched_configs_never_fuse(self, fast_config):
-        spec = JobSpec(workload="cos", n_inputs=6, config=fast_config)
-        assert _fusion_key(spec) is None
-
-    def test_batched_same_schedule_share_a_key(self, fused_config):
-        a = JobSpec(workload="cos", n_inputs=6, config=fused_config)
-        b = JobSpec(workload="erf", n_inputs=6, config=fused_config)
-        key = _fusion_key(a)
-        assert key is not None
-        assert key == _fusion_key(b)
-
-    def test_different_schedules_split(self, fused_config):
-        other = FrameworkConfig(
-            **{**fused_config.to_dict(), "solver": CoreSolverConfig(
-                max_iterations=400, n_replicas=2
-            )}
-        )
-        a = JobSpec(workload="cos", n_inputs=6, config=fused_config)
-        b = JobSpec(workload="cos", n_inputs=6, config=other)
-        assert _fusion_key(a) != _fusion_key(b)
-
-
 class TestBatchedArtifactsIdentity:
-    def test_batched_service_matches_sequential_service(
-        self, tmp_path, fused_config
+    @pytest.mark.parametrize("backend", ["numpy64", "numpy32"])
+    def test_matches_direct_decompose(
+        self, tmp_path, backend
     ):
+        config = _batched_config(backend)
         specs = [
-            JobSpec(workload=name, n_inputs=6, config=fused_config)
-            for name in ("cos", "erf", "tan")
+            JobSpec(workload=name, n_inputs=6, config=config)
+            for name in ("cos", "erf")
         ]
-        fused_rounds = get_metrics().counter(
-            "service_fused_sweeps_total",
-            help="fused sweep rounds led across jobs",
-        )
-        before = fused_rounds.value
-        seq_service, seq_jobs = _drain(tmp_path, specs, "seq", 1)
-        batch_service, batch_jobs_ = _drain(tmp_path, specs, "batch", 3)
-        assert fused_rounds.value > before
-
-        for seq_job, batch_job in zip(seq_jobs, batch_jobs_):
-            assert batch_job.artifact_key == seq_job.artifact_key
-            assert batch_service.job(batch_job.id).state == "done"
-            assert (
-                batch_service.fetch_design_dict(batch_job.id)
-                == seq_service.fetch_design_dict(seq_job.id)
-            )
-
-    def test_mixed_schedules_in_one_wave(self, tmp_path, fused_config):
-        """Schedule-incompatible jobs in one claimed wave still finish
-        correctly (separate gates / no gate)."""
-        other = FrameworkConfig(
-            **{**fused_config.to_dict(), "solver": CoreSolverConfig(
-                max_iterations=400, n_replicas=2
-            )}
-        )
-        specs = [
-            JobSpec(workload="cos", n_inputs=6, config=fused_config),
-            JobSpec(workload="erf", n_inputs=6, config=other),
-            JobSpec(workload="tan", n_inputs=6, config=fused_config),
-        ]
-        seq_service, seq_jobs = _drain(tmp_path, specs, "seq", 1)
-        batch_service, batch_jobs_ = _drain(tmp_path, specs, "batch", 3)
-        for seq_job, batch_job in zip(seq_jobs, batch_jobs_):
-            assert (
-                batch_service.fetch_design_dict(batch_job.id)
-                == seq_service.fetch_design_dict(seq_job.id)
+        service, jobs = _drain(tmp_path, specs, "svc")
+        for spec, job in zip(specs, jobs):
+            assert service.job(job.id).state == "done"
+            table = build_workload(spec.workload, n_inputs=6).table
+            direct = IsingDecomposer(config).decompose(table)
+            assert service.fetch_design_dict(job.id) == (
+                result_to_dict(direct)
             )
 
 
 class TestSingleFlightDedup:
     def test_duplicates_in_one_wave_solve_once(
-        self, tmp_path, fused_config
+        self, tmp_path, batched_config
     ):
+        """Three identical submissions queued together: one solve, the
+        twins resolve through the artifact cache."""
         calls = []
         lock = threading.Lock()
 
@@ -140,13 +95,11 @@ class TestSingleFlightDedup:
                 spec, table, progress, should_cancel, **kwargs
             )
 
-        spec = JobSpec(workload="cos", n_inputs=6, config=fused_config)
+        spec = JobSpec(workload="cos", n_inputs=6, config=batched_config)
         service, jobs = _drain(
-            tmp_path, [spec] * 3, "dup", 3,
-            decompose_fn=counting_decompose,
+            tmp_path, [spec] * 3, "dup", decompose_fn=counting_decompose,
         )
         assert [service.job(j.id).state for j in jobs] == ["done"] * 3
-        # one real solve; the two twins resolve via the artifact cache
         assert calls == ["cos"]
         designs = {
             str(service.fetch_design_dict(j.id)) for j in jobs
@@ -156,16 +109,16 @@ class TestSingleFlightDedup:
 
 class TestCrashInsideBatch:
     def test_mid_batch_crash_resumes_bit_identical(
-        self, tmp_path, fused_config
+        self, tmp_path, batched_config
     ):
-        """One job of a fused batch crashes post-checkpoint; its retry
-        (resuming from the checkpoint) must land the same artifact as a
-        clean sequential service."""
+        """One batched job crashes post-checkpoint; its retry (resuming
+        from the checkpoint) must land the same artifact as a clean
+        service."""
         specs = [
-            JobSpec(workload=name, n_inputs=6, config=fused_config)
+            JobSpec(workload=name, n_inputs=6, config=batched_config)
             for name in ("cos", "erf")
         ]
-        seq_service, seq_jobs = _drain(tmp_path, specs, "seq", 1)
+        clean, clean_jobs = _drain(tmp_path, specs, "clean")
 
         plan = FaultPlan(
             [
@@ -177,26 +130,21 @@ class TestCrashInsideBatch:
             ],
             seed=1234,
         )
-        chaos = DecompositionService(
-            tmp_path / "chaos", policy=FAST_POLICY, batch_jobs=2
-        )
+        resumes = get_metrics().counter("service_checkpoint_resumes_total")
+        before = resumes.value
+        chaos = DecompositionService(tmp_path / "chaos", policy=FAST_POLICY)
         jobs = chaos.submit_batch(specs)
         with fault_injection(plan):
             chaos.run_until_drained(timeout=300)
 
         assert len(plan.events()) == 1
+        assert resumes.value - before == 1
         records = [chaos.job(j.id) for j in jobs]
         assert [r.state for r in records] == ["done", "done"]
         # exactly one job paid a retry
         assert sorted(r.retries for r in records) == [0, 1]
-        for seq_job, job in zip(seq_jobs, jobs):
+        for clean_job, job in zip(clean_jobs, jobs):
             assert (
                 chaos.fetch_design_dict(job.id)
-                == seq_service.fetch_design_dict(seq_job.id)
+                == clean.fetch_design_dict(clean_job.id)
             )
-
-
-class TestValidation:
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            WorkerPool(None, None, batch_size=0)

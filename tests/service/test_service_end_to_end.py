@@ -40,13 +40,17 @@ class CrashOnce:
         self.lock = threading.Lock()
         self.crashes = 0
 
-    def __call__(self, spec, table, progress, should_cancel):
+    def __call__(self, spec, table, progress, should_cancel,
+                 resume=None, checkpoint_hook=None):
         with self.lock:
             if self.remaining.get(spec.workload, 0) > 0:
                 self.remaining[spec.workload] -= 1
                 self.crashes += 1
                 raise RuntimeError("injected worker crash")
-        return _default_decompose(spec, table, progress, should_cancel)
+        return _default_decompose(
+            spec, table, progress, should_cancel,
+            resume=resume, checkpoint_hook=checkpoint_hook,
+        )
 
 
 class TestAcceptanceScenario:

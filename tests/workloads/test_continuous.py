@@ -1,5 +1,10 @@
 """Tests for the six continuous workloads."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +39,33 @@ class TestCatalog:
             lo, hi = bench.output_range
             assert values.min() >= lo - 5e-3, name
             assert values.max() <= hi + 5e-3, name
+
+
+class TestLazyScipy:
+    def test_import_cli_leaves_scipy_special_unloaded(self):
+        """``import repro.cli`` (every CLI command, agent and worker
+        start) must not pay for ``scipy.special``; only erf needs it."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro.cli; "
+                "print('scipy.special' in sys.modules)",
+            ],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "False"
+
+    def test_erf_is_scipy_erf(self):
+        from scipy.special import erf
+
+        xs = np.linspace(0.0, 3.0, 2001)
+        assert np.array_equal(CONTINUOUS_FUNCTIONS["erf"].func(xs), erf(xs))
 
 
 class TestTables:
