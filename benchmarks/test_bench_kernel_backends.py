@@ -177,12 +177,12 @@ def test_kernel_backend_throughput(benchmark, instance):
 # -- batched section ----------------------------------------------------
 
 BATCH_SIZES = (1, 4, 8, 16, 64)
-BATCH_ITERATIONS = 100
 BATCH_REPLICAS = 4  # the framework default (CoreSolverConfig.n_replicas)
 SAMPLE_EVERY = 20   # the framework default sampling cadence
-BATCH_REPEATS = 3
 # like-for-like stacking: (r, c) core-COP shapes of n=9 |A|=4 and
-# n=16 |A|=7 runs, stepped long enough to time the small shape
+# n=16 |A|=7 runs.  Every batched row is stepped this long and timed
+# best-of-this-many, long enough to time the small shape on a shared
+# host (100 steps best of 3 let the 3x bound flip on noise)
 STACK_SHAPES = ((16, 32), (N_ROWS, N_COLS))
 STACK_ITERATIONS = 200
 STACK_REPEATS = 5
@@ -219,13 +219,13 @@ def _per_problem_numpy32(problems, pump):
     ]
 
     best, finals = np.inf, None
-    for _ in range(BATCH_REPEATS):
+    for _ in range(STACK_REPEATS):
         states = [(x.copy(), y.copy()) for x, y in starts]
         t0 = time.perf_counter()
         for (_, c0, _, _), kernel, (x, y) in zip(
             problems, kernels, states
         ):
-            for iteration in range(1, BATCH_ITERATIONS + 1):
+            for iteration in range(1, STACK_ITERATIONS + 1):
                 kernel.step(x, y, pump(iteration), DT, A0, c0)
         elapsed = time.perf_counter() - t0
         if elapsed < best:
@@ -239,8 +239,8 @@ def _windowed(
     pump,
     backend,
     stacked=True,
-    n_iterations=BATCH_ITERATIONS,
-    repeats=BATCH_REPEATS,
+    n_iterations=STACK_ITERATIONS,
+    repeats=STACK_REPEATS,
 ):
     """Advance the problems in sampling windows, stacked or solo.
 
@@ -299,8 +299,7 @@ def test_batched_stacking_throughput(benchmark):
         and native_engine() is not None
         else "numpy32"
     )
-    pump = LinearPump(A0, BATCH_ITERATIONS)
-    stack_pump = LinearPump(A0, STACK_ITERATIONS)
+    pump = LinearPump(A0, STACK_ITERATIONS)
     stack_backends = sorted({float32_backend, "numpy32"})
 
     def stacking_vs_solo():
@@ -312,12 +311,10 @@ def test_batched_stacking_throughput(benchmark):
                 rows[str(batch_size)] = {}
                 for backend in stack_backends:
                     solo_s, solo_finals = _windowed(
-                        problems, stack_pump, backend, False,
-                        STACK_ITERATIONS, STACK_REPEATS,
+                        problems, pump, backend, stacked=False
                     )
                     stacked_s, stacked_finals = _windowed(
-                        problems, stack_pump, backend, True,
-                        STACK_ITERATIONS, STACK_REPEATS,
+                        problems, pump, backend
                     )
                     problem_iters = batch_size * STACK_ITERATIONS
                     rows[str(batch_size)][backend] = {
@@ -354,7 +351,7 @@ def test_batched_stacking_throughput(benchmark):
                     ]
                 )
             )
-            problem_iters = batch_size * BATCH_ITERATIONS
+            problem_iters = batch_size * STACK_ITERATIONS
             section[str(batch_size)] = {
                 "per_problem_numpy32_iters_per_second": (
                     problem_iters / base_s
@@ -376,7 +373,7 @@ def test_batched_stacking_throughput(benchmark):
         "n_rows": N_ROWS,
         "n_cols": N_COLS,
         "n_replicas": BATCH_REPLICAS,
-        "n_iterations": BATCH_ITERATIONS,
+        "n_iterations": STACK_ITERATIONS,
         "sample_every": SAMPLE_EVERY,
         "batch_sizes": section,
         "stacking_vs_solo": {

@@ -145,7 +145,6 @@ from repro.service import (
     DecompositionService,
     JobSpec,
     SchedulerPolicy,
-    WorkerSupervisor,
     format_job_table,
     format_worker_table,
     rebuild_shard,
@@ -338,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a crash-recovery checkpoint every K "
                             "components (0 disables checkpointing)")
     serve.add_argument("--isolated-workers", action="store_true",
-                       help="run each worker as a supervised child "
-                            "process (restart on crash, kill on hang) "
-                            "instead of an in-process thread")
+                       help="run each job attempt in a child process "
+                            "(a crash or hang costs the attempt, never "
+                            "the worker)")
     serve.add_argument("--min-workers", type=int, default=0, metavar="N",
                        help="with --max-workers: lower bound of the "
                             "autoscaled pool (default: 0, fully "
@@ -355,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run no local workers at all — the gateway "
                             "owns the store and remote 'repro work' "
                             "agents drain the queue (requires --http)")
-    serve.add_argument("--max-restarts", type=int, default=5,
-                       help="supervised-mode worker restart budget")
     serve.add_argument("--trace-out", type=Path, default=None,
                        help="record a service execution trace to this "
                             "path (drain mode; Chrome trace_event JSON, "
@@ -403,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="cap the server-side claim long-poll "
                            "(default: the gateway's configured wait)")
-    work.add_argument("--heartbeat-seconds", type=float, default=5.0,
-                      help="minimum interval between lease heartbeats")
     work.add_argument("--checkpoint-every", type=int,
                       default=DEFAULT_CHECKPOINT_EVERY, metavar="K",
                       help="ship a crash-recovery checkpoint every K "
@@ -757,7 +752,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if autoscale and args.isolated_workers:
         raise ConfigurationError(
             "--max-workers autoscaling and --isolated-workers are "
-            "exclusive (the supervisor owns its own worker count)"
+            "exclusive"
         )
     policy = SchedulerPolicy(
         lease_seconds=args.lease_seconds,
@@ -772,21 +767,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = DecompositionService(
         args.service_dir, n_workers=args.workers, policy=policy,
         checkpoint_every=checkpoint_every, shards=args.shards,
+        isolated=args.isolated_workers,
     )
-    supervisor = None
-    if args.isolated_workers:
-        supervisor = WorkerSupervisor(
-            args.service_dir,
-            n_workers=args.workers,
-            policy=policy,
-            checkpoint_every=checkpoint_every,
-            max_restarts=args.max_restarts,
-        )
     autoscaler = None
     if autoscale:
         autoscaler = PoolAutoscaler(
-            service.scheduler,
-            service.executor,
+            service.pool,
             min_workers=args.min_workers,
             max_workers=args.max_workers,
         )
@@ -803,22 +789,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{args.min_workers}..{args.max_workers} autoscaled "
               f"worker(s), {depth} job(s) pending")
     else:
-        mode = (
-            "supervised process" if supervisor is not None else "thread"
-        )
+        mode = "isolated" if args.isolated_workers else "thread"
         print(f"serving {args.service_dir} with {args.workers} "
               f"{mode} worker(s), {depth} job(s) pending")
 
     def start_pool():
         """Start the chosen worker backend; None in dispatch-only."""
         if args.dispatch_only:
-            service._recover_orphans_best_effort()
             return None
-        if supervisor is not None:
-            supervisor.start()
-            return supervisor
         if autoscaler is not None:
-            service._recover_orphans_best_effort()
             return autoscaler.start()
         return service.serve_forever()
 
@@ -854,17 +833,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.forever:
         pool = start_pool()
         try:
-            while not pool.wait(3600):
-                pass
+            while True:
+                time.sleep(3600)
         except KeyboardInterrupt:
             pool.stop()
         return 0
 
     def drain() -> None:
-        if supervisor is not None:
-            supervisor.run_until_drained()
-        elif autoscaler is not None:
-            service._recover_orphans_best_effort()
+        if autoscaler is not None:
             autoscaler.start()
             try:
                 while service.store.pending() > 0:
@@ -1149,7 +1125,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
         checkpoint_every=(
             None if args.checkpoint_every == 0 else args.checkpoint_every
         ),
-        heartbeat_seconds=args.heartbeat_seconds,
         claim_wait=args.claim_wait,
         drain=args.drain,
         isolated=args.isolated,

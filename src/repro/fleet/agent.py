@@ -1,17 +1,17 @@
 """The remote worker agent behind ``repro work --remote URL``.
 
-:class:`RemoteWorkerAgent` is the worker half of the fleet protocol: a
-loop that claims jobs from a gateway, executes them through the exact
-same :class:`~repro.service.worker.JobExecutor` the local pool uses,
-and reports back over HTTP.  The executor never learns it is remote —
-it talks to a :class:`_RemoteArtifacts` proxy that routes its artifact
-surface through the gateway:
+:class:`RemoteWorkerAgent` is the local pool's
+:class:`~repro.service.worker.WorkerLoop` over a :class:`RemoteSource`:
+it claims jobs from a gateway, executes them through the same
+:class:`~repro.service.worker.JobExecutor`, and reports back over HTTP.
+The executor talks to a :class:`_RemoteArtifacts` proxy that routes
+its artifact surface through the gateway:
 
 ===================  ================================================
 executor call        remote behavior
 ===================  ================================================
-``get``              ``GET /v1/artifacts/{key}`` (cache re-check)
-``get_checkpoint``   the payload seeded by the claim grant
+``get``              the envelope carried by the claim grant, if any
+``get_checkpoint``   the checkpoint carried by the claim grant, if any
 ``put_checkpoint``   ``POST /v1/workers/checkpoint`` (renews lease)
 ``put``              buffered in memory, shipped with ``complete``
 ``delete_checkpoint``  no-op — the gateway deletes on ``complete``
@@ -19,73 +19,58 @@ executor call        remote behavior
 
 Because checkpoints travel through the gateway, a job abandoned by a
 crashed remote worker resumes **bit-identically** on whichever worker
-(remote or local) claims it next — same determinism contract as the
-local pool, now across machines.
-
-Ownership is enforced server-side: any 409 from heartbeat/checkpoint
-means this agent lost its lease, and the attempt is *abandoned* (no
-``fail`` report — the job already belongs to someone else).  A gateway
-that stops answering mid-attempt has the same effect via lease expiry.
-
-``--isolated`` mode runs each attempt in a child **process** (the
-remote analog of :class:`~repro.service.supervisor.WorkerSupervisor`):
-a child killed by a hard fault (``worker.die``, OOM, segfault) is
-observed by the agent, which reports the attempt failed so the
-scheduler can route it — idempotent completion makes the report safe
-even if the child actually finished first.
+(remote or local) claims it next.  Ownership is enforced server-side:
+any 409 from heartbeat/checkpoint means this agent lost its lease, and
+the attempt is *abandoned* unreported.  ``--isolated`` runs each
+attempt in a child that rebuilds this source from the gateway URL,
+token and grant, exactly as ``serve --isolated-workers`` does locally.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import GatewayError, ReproError
+from repro.errors import GatewayError
 from repro.fleet.client import FleetClient
 from repro.fleet.protocol import ClaimGrant
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import get_metrics
-from repro.resilience import (
-    FaultPlan,
-    active_fault_plan,
-    install_fault_plan,
-)
 from repro.serialization import result_to_dict
 from repro.service.jobstore import JobRecord
-from repro.service.worker import DEFAULT_CHECKPOINT_EVERY, JobExecutor
+from repro.service.worker import (
+    DEFAULT_CHECKPOINT_EVERY,
+    ExecutionOutcome,
+    JobExecutor,
+    LeaseLost,
+    LoopStats,
+    WorkerLoop,
+)
 
 logger = get_logger("repro.fleet.agent")
 
-__all__ = ["RemoteWorkerAgent", "AgentStats"]
-
-
-class _LeaseLost(ReproError):
-    """This agent no longer owns the job; abandon the attempt."""
+__all__ = ["RemoteSource", "RemoteWorkerAgent"]
 
 
 class _RemoteArtifacts:
     """Gateway-backed stand-in for the executor's artifact store."""
 
-    def __init__(self, client: FleetClient, worker_id: str) -> None:
+    def __init__(self, client: FleetClient) -> None:
         self._client = client
-        self._worker = worker_id
         self._job: Optional[JobRecord] = None
         self._seed_checkpoint: Optional[Dict] = None
+        self._seed_artifact: Optional[Dict] = None
         self.envelope: Optional[Dict] = None
 
     def bind(self, grant: ClaimGrant) -> None:
         """Point the proxy at one claimed job."""
         self._job = grant.job
         self._seed_checkpoint = grant.checkpoint
+        self._seed_artifact = grant.artifact
         self.envelope = None
 
     def get(self, key: str) -> Optional[Dict]:
-        return self._client.artifact(key)
+        return self._seed_artifact
 
     def get_checkpoint(self, key: str) -> Optional[Dict]:
         return self._seed_checkpoint
@@ -94,11 +79,11 @@ class _RemoteArtifacts:
         assert self._job is not None
         try:
             self._client.checkpoint(
-                self._worker, self._job.id, payload
+                self._job.worker, self._job.id, payload
             )
         except GatewayError as exc:
             if exc.status == 409:
-                raise _LeaseLost(
+                raise LeaseLost(
                     f"lease on job {self._job.id} lost while shipping "
                     f"a checkpoint: {exc}"
                 ) from exc
@@ -109,28 +94,111 @@ class _RemoteArtifacts:
         return False
 
     def put(self, key: str, result, meta: Optional[Dict] = None) -> Dict:
-        design = result if isinstance(result, dict) else (
-            result_to_dict(result)
-        )
-        self.envelope = {"design": design, "meta": dict(meta or {})}
+        if not isinstance(result, dict):
+            result = result_to_dict(result)
+        self.envelope = {"design": result, "meta": dict(meta or {})}
         return self.envelope
 
 
-@dataclass
-class AgentStats:
-    """Counters one agent accumulates over its lifetime."""
+class RemoteSource:
+    """A gateway's worker plane as a job source for
+    :class:`~repro.service.worker.WorkerLoop` (module docs)."""
 
-    claims: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    failed: int = 0
-    abandoned: int = 0
-    superseded: int = 0
-    empty_claims: int = 0
-    resumed: int = 0
+    transient = GatewayError
 
-    def to_dict(self) -> Dict:
-        return dict(self.__dict__)
+    def __init__(
+        self,
+        client: FleetClient,
+        *,
+        claim_wait: Optional[float] = None,
+        poll_seconds: float = 0.25,
+    ) -> None:
+        self.client = client
+        self.claim_wait = claim_wait
+        self.poll_seconds = poll_seconds
+        self.artifacts = _RemoteArtifacts(client)
+        self.lease_seconds = 0.0  # each grant sets its own
+        self._grant: Optional[ClaimGrant] = None
+
+    def bind(self, grant: ClaimGrant) -> JobRecord:
+        """Adopt one claimed grant; returns its job."""
+        self._grant = grant
+        self.lease_seconds = grant.lease_seconds
+        self.artifacts.bind(grant)
+        return grant.job
+
+    def claim(self, worker: str) -> Optional[JobRecord]:
+        grant = self.client.claim(worker, wait=self.claim_wait)
+        return None if grant is None else self.bind(grant)
+
+    def heartbeat(self, job: JobRecord) -> None:
+        try:
+            self.client.heartbeat(job.worker, job.id)
+        except GatewayError as exc:
+            if exc.status == 409:
+                raise LeaseLost(
+                    f"lease on job {job.id} lost: {exc}"
+                ) from exc
+            # unreachable gateway: keep computing — the next
+            # checkpoint/complete settles ownership either way
+            logger.warning(
+                "worker %s: heartbeat for %s failed (%s)",
+                job.worker, job.id, exc,
+            )
+
+    def complete(self, job: JobRecord, outcome: ExecutionOutcome) -> str:
+        envelope = self.artifacts.envelope
+        try:
+            receipt = self.client.complete(
+                job.worker,
+                job.id,
+                job.artifact_key,
+                design=None if envelope is None else envelope["design"],
+                meta=None if envelope is None else envelope["meta"],
+                med=outcome.med,
+                runtime_seconds=outcome.runtime_seconds,
+                cache_hit=outcome.cache_hit,
+            )
+        except GatewayError as exc:
+            # the gateway vanished between execute and complete; the
+            # lease will expire and the job re-runs deterministically
+            logger.warning(
+                "worker %s: complete for %s failed (%s); abandoning",
+                job.worker, job.id, exc,
+            )
+            return "abandoned"
+        return "completed" if receipt.accepted else "superseded"
+
+    def fail(self, job: JobRecord, error: str) -> None:
+        try:
+            self.client.fail(job.worker, job.id, error)
+        except GatewayError as exc:
+            logger.warning(
+                "worker %s: failure report for %s not delivered (%s); "
+                "lease expiry will recover the job",
+                job.worker, job.id, exc,
+            )
+
+    def queue_empty(self) -> bool:
+        try:
+            return int(self.client.healthz().get("pending", 1)) == 0
+        except GatewayError:
+            return False  # can't tell; keep polling
+
+    def child_args(self, job: JobRecord) -> Tuple[Callable, Tuple]:
+        """Picklable ``(rebuild, args)`` for an isolated attempt."""
+        return _remote_child, (
+            self.client.base_url, self.client.token,
+            self._grant.to_payload(),
+        )
+
+
+def _remote_child(
+    url: str, token: Optional[str], grant: Dict
+) -> Tuple[RemoteSource, JobRecord]:
+    """Rebuild a :class:`RemoteSource` in an isolated attempt's child."""
+    source = RemoteSource(FleetClient(url, token=token))
+    return source, source.bind(ClaimGrant.from_payload(grant))
 
 
 def _default_worker_id() -> str:
@@ -138,38 +206,15 @@ def _default_worker_id() -> str:
 
 
 class RemoteWorkerAgent:
-    """Claim/execute/report loop against one gateway (module docs).
+    """A worker loop against one gateway (module docs).
 
-    Parameters
-    ----------
-    url:
-        Gateway base URL (ignored when ``client`` is given).
-    token:
-        Bearer token matching the gateway's ``auth_token``.
-    worker_id:
-        Stable identity for leases and the fleet registry; defaults to
-        ``remote-<host>-<pid>``.
-    client:
-        Injectable pre-built :class:`FleetClient` (tests).
-    decompose_fn:
-        Pluggable decomposition function (tests); default runs the
-        real framework.
-    checkpoint_every:
-        Checkpoint cadence in components (``None`` disables).
-    heartbeat_seconds:
-        Minimum interval between heartbeat requests — progress events
-        fire far more often than a lease needs renewing, and every
-        remote heartbeat is an HTTP round trip.
-    claim_wait:
-        Per-request cap on the server's claim long-poll (``None``
-        uses the gateway's configured wait).
-    drain:
-        Exit once the queue is empty instead of parking forever.
-    isolated:
-        Run each attempt in a child process (hard-fault isolation).
-    poll_seconds:
-        Sleep between claim attempts when the gateway is unreachable
-        or answered 204 without a ``Retry-After`` hint.
+    ``worker_id`` defaults to ``remote-<host>-<pid>`` (an isolated agent
+    claims as ``<worker_id>-g<k>``); ``client`` replaces the
+    :class:`FleetClient` built from ``url`` and ``token``;
+    ``claim_wait`` caps the server's claim long-poll; ``drain`` exits
+    once the queue is empty; ``poll_seconds`` is the sleep after an
+    empty or failed claim.  ``decompose_fn`` and ``checkpoint_every``
+    go to the :class:`~repro.service.worker.JobExecutor`.
     """
 
     def __init__(
@@ -181,261 +226,53 @@ class RemoteWorkerAgent:
         client: Optional[FleetClient] = None,
         decompose_fn=None,
         checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
-        heartbeat_seconds: float = 5.0,
         claim_wait: Optional[float] = None,
         drain: bool = False,
         isolated: bool = False,
         poll_seconds: float = 0.25,
-        start_method: Optional[str] = None,
     ) -> None:
         self.worker_id = (
             worker_id if worker_id else _default_worker_id()
         )
-        if client is not None:
-            self.client = client
-        else:
+        if client is None:
             # pad the socket timeout past the long-poll so a parked
             # claim is not mistaken for a dead gateway
             timeout = 30.0 + (claim_wait if claim_wait else 30.0)
-            self.client = FleetClient(
-                url, token=token, timeout_seconds=timeout
-            )
-        self.heartbeat_seconds = heartbeat_seconds
-        self.claim_wait = claim_wait
+            client = FleetClient(url, token=token, timeout_seconds=timeout)
+        self.client = client
         self.drain = drain
         self.isolated = isolated
-        self.poll_seconds = poll_seconds
-        self.checkpoint_every = checkpoint_every
-        self.stats = AgentStats()
-        self._artifacts = _RemoteArtifacts(self.client, self.worker_id)
-        self._executor = JobExecutor(
-            self._artifacts,
-            decompose_fn=decompose_fn,
-            checkpoint_every=checkpoint_every,
+        source = RemoteSource(
+            client, claim_wait=claim_wait, poll_seconds=poll_seconds
         )
-        self._stop = threading.Event()
-        self._mp = multiprocessing.get_context(start_method)
+        self._loop = WorkerLoop(
+            source,
+            JobExecutor(
+                source.artifacts,
+                decompose_fn=decompose_fn,
+                checkpoint_every=checkpoint_every,
+            ),
+            self.worker_id,
+            isolated=isolated,
+        )
 
-    # -- lifecycle -----------------------------------------------------
+    @property
+    def stats(self) -> LoopStats:
+        """The loop's counters."""
+        return self._loop.stats
 
     def stop(self) -> None:
         """Ask the run loop to exit after the current attempt."""
-        self._stop.set()
+        self._loop.stop()
 
-    def run(self, max_jobs: Optional[int] = None) -> AgentStats:
-        """Serve until stopped (or drained / ``max_jobs`` executed)."""
+    def run(self, max_jobs: Optional[int] = None) -> LoopStats:
+        """Serve until stopped (or drained / ``max_jobs`` claimed)."""
         logger.info(
             "remote worker %s serving %s%s",
             self.worker_id,
             self.client.base_url,
             " (isolated)" if self.isolated else "",
         )
-        while not self._stop.is_set():
-            if max_jobs is not None and self.stats.claims >= max_jobs:
-                break
-            try:
-                grant = self.client.claim(
-                    self.worker_id, wait=self.claim_wait
-                )
-            except GatewayError as exc:
-                if self._stop.is_set():
-                    break
-                logger.warning(
-                    "worker %s: claim failed (%s); backing off",
-                    self.worker_id, exc,
-                )
-                self._stop.wait(max(self.poll_seconds, 0.05))
-                continue
-            if grant is None:
-                self.stats.empty_claims += 1
-                if self.drain and self._queue_empty():
-                    break
-                self._stop.wait(self.poll_seconds)
-                continue
-            self.stats.claims += 1
-            if self.isolated:
-                self._run_isolated(grant)
-            else:
-                self._run_attempt(grant)
-        logger.info(
-            "remote worker %s exiting: %s",
-            self.worker_id, self.stats.to_dict(),
-        )
-        return self.stats
-
-    def _queue_empty(self) -> bool:
-        try:
-            return int(self.client.healthz().get("pending", 1)) == 0
-        except GatewayError:
-            return False  # can't tell; keep polling
-
-    # -- one attempt ---------------------------------------------------
-
-    def _run_attempt(self, grant: ClaimGrant) -> None:
-        job = grant.job
-        self._artifacts.bind(grant)
-        last_beat = time.monotonic()
-
-        def heartbeat() -> None:
-            nonlocal last_beat
-            now = time.monotonic()
-            if now - last_beat < self.heartbeat_seconds:
-                return
-            try:
-                self.client.heartbeat(self.worker_id, job.id)
-            except GatewayError as exc:
-                if exc.status == 409:
-                    raise _LeaseLost(
-                        f"lease on job {job.id} lost: {exc}"
-                    ) from exc
-                # unreachable gateway: keep computing — the next
-                # checkpoint/complete settles ownership either way
-                logger.warning(
-                    "worker %s: heartbeat for %s failed (%s)",
-                    self.worker_id, job.id, exc,
-                )
-            last_beat = now
-
-        try:
-            outcome = self._executor.execute(job, heartbeat=heartbeat)
-        except _LeaseLost as exc:
-            self.stats.abandoned += 1
-            get_metrics().counter(
-                "fleet_attempts_abandoned_total",
-                help="remote attempts abandoned after losing the lease",
-            ).inc()
-            logger.warning("worker %s: %s", self.worker_id, exc)
-            return
-        except Exception as exc:  # noqa: BLE001 — crash/timeout boundary
-            self._report_failure(job, exc)
-            return
-        envelope = self._artifacts.envelope
-        try:
-            receipt = self.client.complete(
-                self.worker_id,
-                job.id,
-                job.artifact_key,
-                design=(
-                    None if envelope is None else envelope["design"]
-                ),
-                meta=None if envelope is None else envelope["meta"],
-                med=outcome.med,
-                runtime_seconds=outcome.runtime_seconds,
-                cache_hit=outcome.cache_hit,
-            )
-        except GatewayError as exc:
-            # the gateway vanished between execute and complete; the
-            # lease will expire and the job re-runs deterministically
-            self.stats.abandoned += 1
-            logger.warning(
-                "worker %s: complete for %s failed (%s); abandoning",
-                self.worker_id, job.id, exc,
-            )
-            return
-        if receipt.accepted:
-            self.stats.completed += 1
-            if outcome.cache_hit:
-                self.stats.cache_hits += 1
-            if outcome.resumed_from_checkpoint:
-                self.stats.resumed += 1
-            get_metrics().counter(
-                "fleet_jobs_completed_total",
-                help="jobs completed by this remote agent",
-            ).inc()
-        else:
-            self.stats.superseded += 1
-
-    def _report_failure(self, job: JobRecord, exc: Exception) -> None:
-        self.stats.failed += 1
-        get_metrics().counter(
-            "fleet_attempts_failed_total",
-            help="remote attempts that crashed or timed out",
-        ).inc()
-        logger.warning(
-            "worker %s: job %s attempt failed: %s",
-            self.worker_id, job.id, exc,
-        )
-        try:
-            self.client.fail(
-                self.worker_id, job.id, f"{type(exc).__name__}: {exc}"
-            )
-        except GatewayError as report_exc:
-            logger.warning(
-                "worker %s: failure report for %s not delivered (%s); "
-                "lease expiry will recover the job",
-                self.worker_id, job.id, report_exc,
-            )
-
-    # -- isolated mode -------------------------------------------------
-
-    def _run_isolated(self, grant: ClaimGrant) -> None:
-        plan = active_fault_plan()
-        process = self._mp.Process(
-            target=_isolated_attempt_main,
-            args=(
-                self.client.base_url,
-                self.client.token,
-                self.worker_id,
-                {
-                    "job": grant.job.to_dict(),
-                    "checkpoint": grant.checkpoint,
-                    "lease_seconds": grant.lease_seconds,
-                },
-                self.checkpoint_every,
-                self.heartbeat_seconds,
-                None if plan is None else plan.to_spec(),
-            ),
-            name=f"{self.worker_id}-attempt",
-            daemon=True,
-        )
-        process.start()
-        process.join()
-        if process.exitcode == 0:
-            # the child reported its own outcome (complete or fail)
-            return
-        # hard death (worker.die, OOM, segfault): report on its behalf
-        # — idempotent completion makes this safe even if the child
-        # actually finished before dying
-        logger.warning(
-            "worker %s: isolated attempt for %s died with exit code "
-            "%s; reporting failure",
-            self.worker_id, grant.job.id, process.exitcode,
-        )
-        get_metrics().counter(
-            "fleet_isolated_deaths_total",
-            help="isolated attempt processes that died uncleanly",
-        ).inc()
-        self._report_failure(
-            grant.job,
-            RuntimeError(
-                f"attempt process died (exit {process.exitcode})"
-            ),
-        )
-
-
-def _isolated_attempt_main(
-    url: str,
-    token: Optional[str],
-    worker_id: str,
-    grant_payload: Dict,
-    checkpoint_every: Optional[int],
-    heartbeat_seconds: float,
-    fault_spec: Optional[Dict],
-) -> None:
-    """Entry point of one isolated attempt process.
-
-    Module-level so every multiprocessing start method can pickle it.
-    Executes exactly one already-claimed grant and reports the outcome
-    itself; a clean exit means the report was attempted, any other
-    exit code means the parent must report.
-    """
-    if fault_spec is not None:
-        install_fault_plan(FaultPlan.from_spec(fault_spec))
-    agent = RemoteWorkerAgent(
-        url,
-        token=token,
-        worker_id=worker_id,
-        checkpoint_every=checkpoint_every,
-        heartbeat_seconds=heartbeat_seconds,
-    )
-    agent._run_attempt(ClaimGrant.from_payload(grant_payload))
+        stats = self._loop.run(drain=self.drain, max_jobs=max_jobs)
+        logger.info("remote worker %s exiting: %s", self.worker_id, stats)
+        return stats

@@ -2,19 +2,11 @@
 
 :class:`PoolAutoscaler` replaces the fixed ``n_workers`` of a
 ``serve`` process with a control loop: every tick it compares the
-queue depth (queued + running jobs) against the number of live worker
-*units* and scales between ``min_workers`` and ``max_workers``.
-
-A unit is one single-thread :class:`~repro.service.worker.WorkerPool`
-with a unique name (``<name>-u<counter>``), so every scale-up gets a
-fresh worker identity in the store's registry and quarantine
-accounting stays per-distinct-worker.  Scale-*down* is asynchronous:
-the retiring unit gets :meth:`~repro.service.worker.WorkerPool.request_stop`
-(finish the current job, then exit) and is reaped on a later tick —
-the control loop never blocks on a solve in progress.
-
-Scale-up is immediate when depth exceeds live units; scale-down only
-fires after the queue has been at-or-below the target for
+queue depth (queued + running jobs) against the pool's size and calls
+:meth:`~repro.service.worker.WorkerPool.resize` within
+``[min_workers, max_workers]``.  Scale-up is immediate, with fresh
+worker names; scale-down retires one loop after its current job, and
+only once the queue has been at-or-below the target for
 ``scale_down_idle_seconds``, which keeps a bursty queue from thrashing
 worker churn.
 """
@@ -23,13 +15,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ServiceError
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import get_metrics
-from repro.service.scheduler import Scheduler
-from repro.service.worker import JobExecutor, WorkerPool
+from repro.service.worker import WorkerPool
 
 logger = get_logger("repro.fleet.autoscaler")
 
@@ -37,38 +28,30 @@ __all__ = ["PoolAutoscaler"]
 
 
 class PoolAutoscaler:
-    """Elastic pool of single-worker units over one scheduler.
+    """Elastic size for one worker pool.
 
     Parameters
     ----------
-    scheduler, executor:
-        Shared by every unit (same objects the fixed pool would use).
+    pool:
+        The pool to resize (its scheduler's store gives the depth).
     min_workers, max_workers:
-        Inclusive bounds on live units; ``min_workers`` may be 0
+        Inclusive bounds on the pool's size; ``min_workers`` may be 0
         (fully elastic — nothing runs while the queue is empty).
     interval_seconds:
         Control-loop tick.
     scale_down_idle_seconds:
-        How long the queue must stay at-or-below the live-unit count
-        before one unit is retired.
-    name:
-        Prefix of unit worker names.
-    make_pool:
-        Injectable unit factory (tests); defaults to a 1-thread
-        :class:`WorkerPool`.
+        How long the queue must stay at-or-below the pool's size
+        before one loop is retired.
     """
 
     def __init__(
         self,
-        scheduler: Scheduler,
-        executor: JobExecutor,
+        pool: WorkerPool,
         min_workers: int = 0,
         max_workers: int = 4,
         *,
         interval_seconds: float = 0.25,
         scale_down_idle_seconds: float = 2.0,
-        name: str = "svc",
-        make_pool: Optional[Callable[[str], WorkerPool]] = None,
     ) -> None:
         if min_workers < 0:
             raise ServiceError(
@@ -79,104 +62,72 @@ class PoolAutoscaler:
                 f"max_workers must be >= max(1, min_workers), got "
                 f"{max_workers} (min {min_workers})"
             )
-        self.scheduler = scheduler
-        self.executor = executor
+        self.pool = pool
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.interval_seconds = interval_seconds
         self.scale_down_idle_seconds = scale_down_idle_seconds
-        self.name = name
-        self._make_pool = (
-            make_pool if make_pool is not None else self._default_pool
-        )
-        self._units: List[WorkerPool] = []
-        self._retiring: List[WorkerPool] = []
-        self._counter = 0
+        #: the size the pool was last resized to
+        self.n_live = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._busy_since: Optional[float] = None
 
-    def _default_pool(self, unit_name: str) -> WorkerPool:
-        return WorkerPool(
-            self.scheduler, self.executor, n_workers=1, name=unit_name
-        )
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def n_live(self) -> int:
-        """Units currently serving (retiring ones excluded)."""
-        return len(self._units)
-
     def snapshot(self) -> Dict:
         """Control-loop state for status displays and tests."""
         return {
-            "live": len(self._units),
-            "retiring": sum(1 for u in self._retiring if u.alive),
+            "live": self.n_live,
+            "retiring": self.pool.retiring,
             "min": self.min_workers,
             "max": self.max_workers,
-            "spawned_total": self._counter,
+            "spawned_total": self.pool.spawned,
         }
 
     # -- control loop --------------------------------------------------
 
     def _depth(self) -> Optional[int]:
         try:
-            counts = self.scheduler.store.counts()
+            counts = self.pool.scheduler.store.counts()
         except Exception as exc:  # noqa: BLE001 — store may be locked
             logger.warning("autoscaler: cannot read depth (%s)", exc)
             return None
         return counts["queued"] + counts["running"]
 
-    def _spawn(self) -> None:
-        unit_name = f"{self.name}-u{self._counter}"
-        self._counter += 1
-        unit = self._make_pool(unit_name)
-        unit.start()
-        self._units.append(unit)
-        logger.info(
-            "autoscaler: scaled up to %d unit(s) (+%s)",
-            len(self._units), unit_name,
+    def _resize(self, size: int) -> None:
+        name = (
+            "fleet_scale_ups_total" if size > self.n_live
+            else "fleet_scale_downs_total"
         )
         get_metrics().counter(
-            "fleet_scale_ups_total", help="worker units started"
-        ).inc()
-
-    def _retire(self) -> None:
-        unit = self._units.pop()
-        unit.request_stop()
-        self._retiring.append(unit)
+            name, help="worker loops started or retired"
+        ).inc(abs(size - self.n_live))
         logger.info(
-            "autoscaler: scaling down to %d unit(s)", len(self._units)
+            "autoscaler: scaling %d -> %d worker(s)", self.n_live, size
         )
-        get_metrics().counter(
-            "fleet_scale_downs_total", help="worker units retired"
-        ).inc()
+        self.pool.resize(size)
+        self.n_live = size
 
     def tick(self, now: Optional[float] = None) -> None:
         """One control-loop step (public for deterministic tests)."""
         now = time.monotonic() if now is None else now
-        self._retiring = [u for u in self._retiring if u.alive]
         depth = self._depth()
         if depth is None:
             return
         target = min(self.max_workers, max(self.min_workers, depth))
-        live = len(self._units)
-        if target > live:
+        if target > self.n_live:
             self._busy_since = now
-            for _ in range(target - live):
-                self._spawn()
-        elif live > target:
+            self._resize(target)
+        elif self.n_live > target:
             if self._busy_since is None:
                 self._busy_since = now
             elif now - self._busy_since >= self.scale_down_idle_seconds:
-                self._retire()
+                self._resize(self.n_live - 1)
                 self._busy_since = now
         else:
             self._busy_since = None
         get_metrics().gauge(
-            "fleet_pool_units", help="live autoscaled worker units"
-        ).set(len(self._units))
+            "fleet_pool_units", help="live autoscaled worker loops"
+        ).set(self.n_live)
 
     def _loop(self) -> None:
         while not self._stop.is_set():
@@ -186,37 +137,24 @@ class PoolAutoscaler:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "PoolAutoscaler":
-        """Start the control loop (and the minimum units) in background."""
+        """Start the control loop (and the minimum loops) in background."""
         if self._thread is not None:
             raise ServiceError("autoscaler already started")
-        for _ in range(self.min_workers):
-            self._spawn()
+        if self.min_workers:
+            self._resize(self.min_workers)
         self._thread = threading.Thread(
-            target=self._loop, name=f"{self.name}-autoscaler",
+            target=self._loop, name=f"{self.pool.name}-autoscaler",
             daemon=True,
         )
         self._thread.start()
         return self
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until :meth:`stop` is requested (or ``timeout``)."""
-        return self._stop.wait(timeout)
-
     def stop(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop the loop and every unit (joins current jobs)."""
+        """Stop the control loop and every pool loop (joins current
+        jobs for up to ``timeout`` seconds)."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
-        for unit in self._units + self._retiring:
-            unit.request_stop()
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        for unit in self._units + self._retiring:
-            while unit.alive:
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-                time.sleep(0.01)
-        self._units = []
-        self._retiring = []
+        self.pool.stop(timeout)
+        self.n_live = 0

@@ -1,8 +1,8 @@
 """Typed client for the worker plane (extends :class:`GatewayClient`).
 
-:class:`FleetClient` adds the ``/v1/workers/*`` verbs and the two read
-endpoints agents need (``GET /v1/artifacts/{key}``,
-``GET /v1/workers``) on top of the submitter surface it inherits.
+:class:`FleetClient` adds the ``/v1/workers/*`` verbs and the fleet
+registry (``GET /v1/workers``) on top of the submitter surface it
+inherits.
 
 Connection handling, backoff, and error typing come from the shared
 :class:`~repro.gateway.transport.HttpTransport` base (via
@@ -113,15 +113,6 @@ class FleetClient(GatewayClient):
             "/v1/workers/fail",
             {"worker": worker, "job_id": job_id, "error": error},
         )
-
-    def artifact(self, key: str) -> Optional[Dict]:
-        """The stored envelope for ``key``, or ``None`` on a miss."""
-        try:
-            return self._request_json("GET", f"/v1/artifacts/{key}")
-        except GatewayError as exc:
-            if exc.status == 404:
-                return None
-            raise
 
     def wait_many(
         self,

@@ -49,18 +49,29 @@ COMPLETION_RESULTS: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class ClaimGrant:
-    """A successful claim: the job, its lease, and any checkpoint.
+    """A successful claim: the job, its lease, and what is stored.
 
     ``checkpoint`` is the stored crash-recovery payload for the job's
     artifact key (``None`` when the attempt starts fresh) — shipping it
     with the grant is what lets a job abandoned by one remote worker
     resume bit-identically on the next, without the new worker having
-    filesystem access to the gateway's store.
+    filesystem access to the gateway's store.  ``artifact`` is the
+    stored envelope of an already-done key (a duplicate job).
     """
 
     job: JobRecord
     lease_seconds: float
     checkpoint: Optional[Dict] = None
+    artifact: Optional[Dict] = None
+
+    def to_payload(self) -> Dict:
+        """The wire form :meth:`from_payload` reads."""
+        return {
+            "job": self.job.to_dict(),
+            "lease_seconds": self.lease_seconds,
+            "checkpoint": self.checkpoint,
+            "artifact": self.artifact,
+        }
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "ClaimGrant":
@@ -69,6 +80,7 @@ class ClaimGrant:
                 job=JobRecord.from_dict(payload["job"]),
                 lease_seconds=float(payload["lease_seconds"]),
                 checkpoint=payload.get("checkpoint"),
+                artifact=payload.get("artifact"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(

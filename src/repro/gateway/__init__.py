@@ -16,7 +16,6 @@ Endpoints (all JSON unless noted)::
     GET  /v1/healthz           liveness + queue depth
     GET  /v1/metrics           Prometheus text exposition (0.0.4)
     GET  /v1/workers           the fleet registry (worker liveness)
-    GET  /v1/artifacts/{key}   one stored artifact envelope
     POST /v1/workers/{verb}    the remote worker plane — claim /
                                heartbeat / checkpoint / complete /
                                fail (see :mod:`repro.fleet.protocol`)

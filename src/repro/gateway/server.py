@@ -524,9 +524,6 @@ def _build_handler(gateway: DecompositionGateway):
                         service.store, service.artifacts))
                 elif segments == ["v1", "workers"]:
                     self._handle_workers()
-                elif (len(segments) == 3
-                      and segments[:2] == ["v1", "artifacts"]):
-                    self._handle_artifact(segments[2])
                 elif segments == ["v1", "jobs"]:
                     self._handle_list(parse_qs(parts.query))
                 elif len(segments) == 3 and segments[:2] == ["v1", "jobs"]:
@@ -740,13 +737,6 @@ def _build_handler(gateway: DecompositionGateway):
                 },
             )
 
-        def _handle_artifact(self, key: str) -> None:
-            envelope = service.artifacts.get(key)
-            if envelope is None:
-                self._error(404, f"no artifact stored under key {key}")
-                return
-            self._json(200, envelope)
-
         def _read_json(self) -> Optional[Dict]:
             raw = self._read_body()
             if raw is None:
@@ -840,14 +830,16 @@ def _build_handler(gateway: DecompositionGateway):
                         "gateway_worker_claims",
                         "jobs claimed by remote workers",
                     )
-                    checkpoint = service.artifacts.get_checkpoint(
-                        job.artifact_key
-                    )
                     self._json(
                         200,
                         {
                             "job": job.to_dict(),
-                            "checkpoint": checkpoint,
+                            "checkpoint": service.artifacts.get_checkpoint(
+                                job.artifact_key
+                            ),
+                            "artifact": service.artifacts.get(
+                                job.artifact_key
+                            ),
                             "lease_seconds": (
                                 service.scheduler.policy.lease_seconds
                             ),

@@ -15,8 +15,8 @@ Crash-safe execution itself lives with the code it protects:
 * solver-state checkpoints — :class:`repro.ising.solvers.bsb.SBCheckpoint`
   and :class:`repro.core.checkpoint.DecomposeCheckpoint`, persisted
   through :class:`repro.service.artifacts.ArtifactStore`;
-* supervised process-isolated workers —
-  :class:`repro.service.supervisor.WorkerSupervisor`;
+* process-isolated attempts with hang-kill — an isolated
+  :class:`repro.service.worker.WorkerLoop`;
 * numerical guards with numpy32 → numpy64 escalation — in the bSB
   solve loop.
 

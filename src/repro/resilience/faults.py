@@ -35,9 +35,10 @@ Sites
     expiry / hang detection.  Match on the worker name to confine the
     hang to one worker generation.
 ``worker.die``
-    ``os._exit`` the worker *process*.  Only meaningful under the
-    process-isolated supervisor; in thread mode it would kill the
-    host process.
+    ``os._exit`` the worker *process*.  Only meaningful for isolated
+    loops (``serve --isolated-workers``, ``work --isolated``), where it
+    kills one attempt's child; in thread mode it would kill the host
+    process.
 ``jobstore.operational_error`` / ``jobstore.disk_full``
     Raise ``sqlite3.OperationalError`` from the store's connection /
     commit path.
@@ -53,8 +54,8 @@ Sites
     the response headers — a connection reset mid-body.
 
 Plans are picklable via :meth:`FaultPlan.to_spec` /
-:meth:`FaultPlan.from_spec` so the supervisor can re-install a parent's
-plan inside freshly spawned worker processes.
+:meth:`FaultPlan.from_spec` so an isolated loop can re-install its
+plan inside every attempt's child process (with fresh counters).
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ Module map
                degraded-mode serving, and journal-based scrub/rebuild
 ``scheduler``  :class:`Scheduler`/:class:`SchedulerPolicy` — retries,
                backoff, leases, orphan recovery
-``worker``     :class:`JobExecutor` + :class:`WorkerPool`
-``supervisor`` :class:`WorkerSupervisor` — process-isolated workers
-               with restart-on-crash and hang detection
+``worker``     :class:`JobExecutor`, :class:`WorkerLoop` (claim →
+               execute → report, in-thread or one child process per
+               attempt) and :class:`WorkerPool` (N loops, resizable)
 ``telemetry``  :func:`service_summary` — derived structured metrics
 ``service``    :class:`DecompositionService` — the façade the CLI's
                ``serve``/``submit``/``status``/``fetch`` commands wrap
@@ -53,7 +53,6 @@ from repro.service.spec import (
     artifact_key,
     spec_from_stored,
 )
-from repro.service.supervisor import WorkerSupervisor
 from repro.service.telemetry import (
     format_job_table,
     format_worker_table,
@@ -82,7 +81,6 @@ __all__ = [
     "TERMINAL_STATES",
     "WorkerPool",
     "WorkerRecord",
-    "WorkerSupervisor",
     "artifact_key",
     "format_job_table",
     "format_worker_table",

@@ -605,38 +605,6 @@ class JobStore:
                 for row in rows
             ]
 
-    def release_worker(
-        self,
-        worker: str,
-        now: Optional[float] = None,
-        quarantine_after: Optional[int] = None,
-    ) -> List[str]:
-        """Release every running job held by ``worker`` immediately.
-
-        The supervisor calls this when it has *observed* a worker
-        process die — there is no point waiting out the lease when the
-        holder is known dead.  Same routing as
-        :meth:`recover_orphans`.
-        """
-        now = time.time() if now is None else now
-        with self._txn(immediate=True) as conn:
-            rows = conn.execute(
-                "SELECT id, attempts, max_attempts, worker, "
-                "failed_workers FROM jobs "
-                "WHERE state = 'running' AND worker = ?",
-                (worker,),
-            ).fetchall()
-            return [
-                self._release_row(
-                    conn,
-                    row,
-                    now=now,
-                    error=f"worker process died ({worker})",
-                    quarantine_after=quarantine_after,
-                )
-                for row in rows
-            ]
-
     @staticmethod
     def _release_row(
         conn: sqlite3.Connection,

@@ -258,26 +258,3 @@ class Scheduler:
                 help="jobs reclaimed from crashed workers",
             ).inc(len(recovered))
         return recovered
-
-    def release_worker(
-        self, worker: str, now: Optional[float] = None
-    ) -> List[str]:
-        """Release a worker observed dead without waiting out its lease.
-
-        The supervisor's fast path for jobs held by a child process it
-        just saw exit; routing (requeue / fail / quarantine) matches
-        :meth:`recover_orphans`.
-        """
-        released = self.store.release_worker(
-            worker, now=now, quarantine_after=self.policy.quarantine_after
-        )
-        if released:
-            logger.warning(
-                "released %d job(s) from dead worker %s: %s",
-                len(released), worker, ", ".join(released),
-            )
-            get_metrics().counter(
-                "scheduler_worker_releases_total",
-                help="jobs released from workers observed dead",
-            ).inc(len(released))
-        return released

@@ -26,7 +26,6 @@ same directory.  Library users typically drive one instance in-process:
 from __future__ import annotations
 
 import json
-import sqlite3
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,6 +59,7 @@ class DecompositionService:
         decompose_fn: Optional[DecomposeFn] = None,
         checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
         shards: Optional[int] = None,
+        isolated: bool = False,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -73,8 +73,14 @@ class DecompositionService:
         self.executor = JobExecutor(
             self.artifacts, decompose_fn, checkpoint_every=checkpoint_every
         )
+        # isolated=True runs every attempt in a child process that
+        # reopens this directory (see repro.service.worker)
         self.pool = WorkerPool(
-            self.scheduler, self.executor, n_workers=n_workers
+            self.scheduler,
+            self.executor,
+            n_workers=n_workers,
+            root=self.root,
+            isolated=isolated,
         )
 
     # -- submission ----------------------------------------------------
@@ -112,24 +118,15 @@ class DecompositionService:
 
     # -- serving -------------------------------------------------------
 
-    def _recover_orphans_best_effort(self) -> None:
-        # the worker loop retries recovery every poll, so a transient
-        # store error on this eager pass must not abort serving
-        try:
-            self.scheduler.recover_orphans()
-        except sqlite3.OperationalError:
-            pass
-
     def run_until_drained(self, timeout: Optional[float] = None) -> None:
-        """Serve until the queue is empty; recovers orphans first."""
-        self._recover_orphans_best_effort()
+        """Serve until the queue is empty (every claim first recovers
+        orphaned jobs)."""
         self.pool.run_until_drained(timeout=timeout)
 
     def serve_forever(self) -> WorkerPool:
         """Start background serving; call ``.stop()`` on the returned
         pool (or let the process exit — threads are daemonic).
         """
-        self._recover_orphans_best_effort()
         self.pool.start()
         return self.pool
 

@@ -25,7 +25,7 @@ writes::
       artifacts/                shared content-addressed cache (unsharded)
 
 The manifest makes the layout self-describing: ``repro submit`` /
-``status`` / supervised worker processes discover N from it, and an
+``status`` / isolated attempt processes discover N from it, and an
 explicit ``--shards`` that contradicts it is refused rather than
 silently resharding (keys would rehash onto different shards).
 
@@ -615,24 +615,6 @@ class ShardedJobStore:
             except (sqlite3.OperationalError, JobStoreCorruptError):
                 continue
         return recovered
-
-    def release_worker(
-        self,
-        worker: str,
-        now: Optional[float] = None,
-        quarantine_after: Optional[int] = None,
-    ) -> List[str]:
-        """Release a dead worker's jobs on every reachable shard."""
-        released: List[str] = []
-        for index in self._each_usable():
-            try:
-                released.extend(self._call(
-                    index, "release_worker", worker, now=now,
-                    quarantine_after=quarantine_after,
-                ))
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-        return released
 
     def note_worker_failure(
         self, job_id: str, worker: Optional[str]

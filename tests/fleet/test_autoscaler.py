@@ -1,5 +1,6 @@
 """The queue-depth autoscaler: deterministic ``tick()`` control-loop
-tests with an injected pool factory, plus one live elastic drain.
+tests against a fake pool driven through ``resize``, plus one live
+elastic drain.
 """
 
 import dataclasses
@@ -16,78 +17,61 @@ from tests.fleet.conftest import make_service
 
 
 class FakePool:
-    """A worker-pool stand-in whose liveness the test scripts."""
+    """A worker-pool stand-in that records every resize."""
 
-    def __init__(self, name):
-        self.name = name
-        self.started = False
-        self.stop_requested = False
-        self._alive = False
+    name = "svc"
+    retiring = 0
+    spawned = 0
 
-    def start(self):
-        self.started = True
-        self._alive = True
+    def __init__(self, depths):
+        state = {"i": 0}
 
-    def request_stop(self):
-        self.stop_requested = True
+        def counts():
+            i = min(state["i"], len(depths) - 1)
+            state["i"] += 1
+            depth = depths[i]
+            if depth is None:
+                raise RuntimeError("store unavailable")
+            return {"queued": depth, "running": 0}
 
-    def finish(self):
-        self._alive = False
+        self.scheduler = types.SimpleNamespace(
+            store=types.SimpleNamespace(counts=counts)
+        )
+        self.sizes = []
+        self.stopped = False
 
-    @property
-    def alive(self):
-        return self._alive
+    def resize(self, n):
+        self.sizes.append(n)
+
+    def stop(self, timeout=None):
+        self.stopped = True
 
 
 def make_scaler(depths, **kwargs):
     """An autoscaler over a scripted queue-depth sequence."""
-    state = {"i": 0}
-
-    def counts():
-        i = min(state["i"], len(depths) - 1)
-        state["i"] += 1
-        depth = depths[i]
-        if depth is None:
-            raise RuntimeError("store unavailable")
-        return {"queued": depth, "running": 0}
-
-    scheduler = types.SimpleNamespace(
-        store=types.SimpleNamespace(counts=counts)
-    )
-    pools = []
-
-    def make_pool(name):
-        pool = FakePool(name)
-        pools.append(pool)
-        return pool
-
-    kwargs.setdefault("make_pool", make_pool)
-    scaler = PoolAutoscaler(scheduler, executor=None, **kwargs)
-    return scaler, pools
+    pool = FakePool(depths)
+    return PoolAutoscaler(pool, **kwargs), pool
 
 
 class TestControlLoop:
     def test_scales_up_to_depth_capped_at_max(self):
-        scaler, pools = make_scaler([5], max_workers=3)
+        scaler, pool = make_scaler([5], max_workers=3)
         scaler.tick(now=0.0)
         assert scaler.n_live == 3
-        assert [p.name for p in pools] == [
-            "svc-u0", "svc-u1", "svc-u2",
-        ]
-        assert all(p.started for p in pools)
+        assert pool.sizes == [3]
 
     def test_min_floor_is_respected_when_idle(self):
-        scaler, pools = make_scaler(
+        scaler, pool = make_scaler(
             [0, 0], min_workers=1, max_workers=4
         )
         scaler.tick(now=0.0)
         assert scaler.n_live == 1
         scaler.tick(now=100.0)  # idle forever: never below min
         assert scaler.n_live == 1
-        assert not pools[0].stop_requested
+        assert pool.sizes == [1]
 
     def test_scale_down_waits_for_idle_period(self):
-        scaler, pools = make_scaler(
+        scaler, pool = make_scaler(
             [2, 0, 0, 0],
             max_workers=4,
             scale_down_idle_seconds=2.0,
@@ -95,17 +79,12 @@ class TestControlLoop:
         scaler.tick(now=0.0)
         assert scaler.n_live == 2
         scaler.tick(now=0.5)  # below target, but not idle long enough
-        assert scaler.n_live == 2
-        assert not any(p.stop_requested for p in pools)
-        scaler.tick(now=2.6)  # idle window elapsed: retire ONE unit
+        assert pool.sizes == [2]
+        scaler.tick(now=2.6)  # idle window elapsed: retire ONE loop
         assert scaler.n_live == 1
-        retiring = [p for p in pools if p.stop_requested]
-        assert len(retiring) == 1
-        # retirement is asynchronous: the unit drains, then is reaped
-        assert scaler.snapshot()["retiring"] == 1
-        retiring[0].finish()
-        scaler.tick(now=4.0)
-        assert scaler.snapshot()["retiring"] == 0
+        assert pool.sizes == [2, 1]
+        scaler.tick(now=3.0)  # the idle clock restarted at the retire
+        assert pool.sizes == [2, 1]
 
     def test_burst_resets_the_idle_clock(self):
         scaler, _ = make_scaler(
@@ -113,18 +92,19 @@ class TestControlLoop:
             max_workers=4,
             scale_down_idle_seconds=2.0,
         )
-        scaler.tick(now=0.0)   # depth 2 -> 2 units
+        scaler.tick(now=0.0)   # depth 2 -> 2 loops
         scaler.tick(now=1.0)   # idle starts
         scaler.tick(now=1.5)   # burst: busy again, clock reset
         scaler.tick(now=3.0)   # only 1.5s idle since the burst
         assert scaler.n_live == 2
 
     def test_unreadable_store_freezes_the_loop(self):
-        scaler, _ = make_scaler([2, None, 0], max_workers=4)
+        scaler, pool = make_scaler([2, None, 0], max_workers=4)
         scaler.tick(now=0.0)
         assert scaler.n_live == 2
         scaler.tick(now=1.0)  # store raised: no decision on bad data
         assert scaler.n_live == 2
+        assert pool.sizes == [2]
 
     def test_bounds_are_validated(self):
         with pytest.raises(ServiceError):
@@ -133,12 +113,10 @@ class TestControlLoop:
             make_scaler([0], min_workers=3, max_workers=2)
 
     def test_stop_retires_every_unit(self):
-        scaler, pools = make_scaler([3], max_workers=4)
+        scaler, pool = make_scaler([3], max_workers=4)
         scaler.tick(now=0.0)
-        for pool in pools:
-            pool.finish()  # pretend each drained instantly
         scaler.stop(timeout=1.0)
-        assert all(p.stop_requested for p in pools)
+        assert pool.stopped
         assert scaler.n_live == 0
 
 
@@ -160,8 +138,7 @@ class TestLiveElasticity:
             for seed in range(3)
         ]
         scaler = PoolAutoscaler(
-            service.scheduler,
-            service.executor,
+            service.pool,
             min_workers=0,
             max_workers=2,
             interval_seconds=0.02,

@@ -1,23 +1,19 @@
-"""The remote worker agent end to end (the ISSUE acceptance tests).
+"""The remote worker agent end to end.
 
 A gateway with **no local workers** drained by remote agents over
-HTTP, with designs byte-identical to a local ``serve`` run; a remote
-worker crashing mid-job whose successor resumes from the shipped
-checkpoint bit-identically; and ``--isolated`` child-process attempts
-surviving hard ``worker.die`` faults.
+HTTP, with designs byte-identical to a local ``serve`` run, and a
+remote worker crashing mid-job whose successor resumes from the
+shipped checkpoint bit-identically.  The isolated (``--isolated``)
+agent runs in ``tests/resilience/test_worker_paths.py``, next to every
+other way to run a job.
 """
 
 import dataclasses
+import json
 
 from repro.fleet import RemoteWorkerAgent
 from repro.gateway import DecompositionGateway, GatewayConfig
-from repro.resilience import (
-    FaultPlan,
-    FaultRule,
-    clear_fault_plan,
-    fault_injection,
-    install_fault_plan,
-)
+from repro.resilience import FaultPlan, FaultRule, fault_injection
 from repro.service import JobSpec
 
 from tests.fleet.conftest import make_service
@@ -42,7 +38,6 @@ def make_agent(gw, worker_id, **kwargs):
     kwargs.setdefault("drain", True)
     kwargs.setdefault("claim_wait", 0.1)
     kwargs.setdefault("poll_seconds", 0.02)
-    kwargs.setdefault("heartbeat_seconds", 0.05)
     return RemoteWorkerAgent(gw.url, worker_id=worker_id, **kwargs)
 
 
@@ -75,19 +70,33 @@ class TestRemoteDrain:
             assert service.fetch_design_dict(job.id) == clean_design
 
     def test_duplicate_spec_is_cache_hit(self, tmp_path, fast_config):
-        """Submitting a spec whose artifact already exists: the remote
-        attempt short-circuits through ``GET /v1/artifacts``."""
+        """Submitting a spec whose artifact already exists: the claim
+        grant carries the stored envelope, so the remote attempt is a
+        cache hit without a single artifact request."""
         service = make_service(tmp_path)
         spec = spec_for(fast_config)
         service.submit(spec)
-        with DecompositionGateway(service, fast_gateway_config()) as gw:
+        access_log = tmp_path / "access.jsonl"
+        config = dataclasses.replace(
+            fast_gateway_config(), access_log_path=access_log
+        )
+        with DecompositionGateway(service, config) as gw:
             assert make_agent(gw, "r1").run().completed == 1
             # plain submit welcomes duplicates: a twin job with the
             # same content address, resolved without a second solve
-            service.submit(spec)
+            twin = service.submit(spec)
             stats = make_agent(gw, "r2").run()
         assert stats.completed == 1
         assert stats.cache_hits == 1
+        assert service.job(twin.id).cache_hit
+        requests = [
+            json.loads(line) for line in access_log.read_text().splitlines()
+        ]
+        assert requests
+        assert not [
+            entry for entry in requests
+            if entry["method"] == "GET" and "artifacts" in entry["path"]
+        ]
 
 
 class TestCrashResume:
@@ -140,47 +149,3 @@ class TestCrashResume:
         assert (
             service.artifacts.get_checkpoint(job.artifact_key) is None
         )
-
-
-class TestIsolatedMode:
-    def test_isolated_attempt_completes(self, tmp_path, fast_config):
-        spec = spec_for(fast_config)
-        (clean_design,) = baseline_designs(tmp_path, [spec])
-        service = make_service(tmp_path)
-        job = service.submit(spec)
-        with DecompositionGateway(service, fast_gateway_config()) as gw:
-            stats = make_agent(gw, "iso", isolated=True).run()
-        # the child process reported the completion itself; the
-        # parent only observed a clean exit
-        assert stats.claims == 1
-        assert service.job(job.id).state == "done"
-        assert service.fetch_design_dict(job.id) == clean_design
-
-    def test_hard_death_is_reported_and_retried(
-        self, tmp_path, fast_config
-    ):
-        """``worker.die`` hard-kills the attempt process; the parent
-        reports the failure so the scheduler can re-route without
-        waiting for lease expiry."""
-        spec = spec_for(fast_config)
-        service = make_service(tmp_path)
-        job = service.submit(spec)
-        plan = FaultPlan(
-            [FaultRule(site="worker.die", at_calls=(1,))], seed=1234
-        )
-        with DecompositionGateway(service, fast_gateway_config()) as gw:
-            install_fault_plan(plan)
-            try:
-                stats = make_agent(gw, "doomed", isolated=True).run(
-                    max_jobs=1
-                )
-            finally:
-                clear_fault_plan()
-            assert stats.failed == 1
-            assert service.job(job.id).state == "queued"
-
-            stats = make_agent(gw, "medic", isolated=True).run()
-        record = service.job(job.id)
-        assert record.state == "done"
-        assert record.attempts == 2
-        assert "doomed" in record.failed_workers

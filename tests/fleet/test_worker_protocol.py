@@ -7,6 +7,7 @@ registry view, and the separate worker rate-limit class.
 
 import dataclasses
 import threading
+import time
 
 import pytest
 
@@ -146,8 +147,8 @@ class TestCheckpointAndComplete:
                 == payload
             )
             # the crashed worker's successor gets the checkpoint with
-            # its grant — release the lease and claim again
-            service.scheduler.release_worker("w1")
+            # its grant — expire the lease and claim again
+            service.scheduler.recover_orphans(now=time.time() + 60.0)
             grant = client.claim("w2")
             assert grant is not None
             assert grant.checkpoint == payload
@@ -175,7 +176,9 @@ class TestCheckpointAndComplete:
             record = service.job(job.id)
             assert record.state == "done"
             assert record.med == 0.0
-            assert client.artifact(job.artifact_key)["design"] == design
+            assert service.artifacts.get(job.artifact_key)["design"] == (
+                design
+            )
             assert client.result(job.id)["design"] == design
 
     def test_complete_wrong_artifact_key_rejected(
@@ -207,11 +210,21 @@ class TestCheckpointAndComplete:
             assert "w1" in record.failed_workers
             assert "boom" in record.error
 
-    def test_artifact_miss_is_none(self, tmp_path):
+    def test_grant_carries_stored_artifact(self, tmp_path, fast_config):
+        """A fresh job's grant has no artifact; a twin of a finished
+        job carries the stored envelope."""
         service = make_service(tmp_path)
+        spec = spec_for(fast_config)
+        job = service.submit(spec)
+        design = {"n_inputs": 6, "luts": [[1, 0]]}
         with DecompositionGateway(service, no_wait_config()) as gw:
             client = FleetClient(gw.url)
-            assert client.artifact("f" * 64) is None
+            grant = client.claim("w1")
+            assert grant.artifact is None
+            client.complete("w1", job.id, job.artifact_key, design=design)
+            service.submit(spec)
+            twin = client.claim("w1")
+            assert twin.artifact["design"] == design
 
     def test_unknown_worker_verb_is_404(self, tmp_path):
         service = make_service(tmp_path)
